@@ -47,9 +47,6 @@ struct ObsConfig
     std::string flamegraphPath;
     /** Root seed for any stochastic model in the bench (--seed). */
     uint64_t seed = 42;
-    /** Host-side worker threads for fleet-stepping benches
-     *  (--parallel; results stay byte-identical to serial). */
-    uint64_t parallel = 1;
     /** Translation-validation install-gate mode for fleet benches
      *  (--validate=off|ir|diff|paranoid; empty keeps each bench's
      *  default). Kept as a string so common.h stays independent of
@@ -66,13 +63,12 @@ struct ObsConfig
  * Small command-line flag parser for the benches.
  *
  * Built-in flags: `--trace=<path>`, `--metrics=<path>`,
- * `--seed=<n>`, `--engine=step|batch`, `--parallel=<n>` and `-v`.
- * `--engine` sets the process-wide default execution engine, so
- * every bench opts into (or out of) the horizon-batched fast path
- * without code changes; `--parallel` is surfaced through ObsConfig
- * for fleet-stepping benches. Benches register extra flags with
- * addFlag()/addSwitch() before parse(); unknown arguments fail with
- * the full supported-flag list rather than a bare fatal.
+ * `--seed=<n>`, `--engine=step|batch` and `-v`. `--engine` sets the
+ * process-wide default execution engine, so every bench opts into
+ * (or out of) the horizon-batched fast path without code changes.
+ * Benches register extra flags with addFlag()/addSwitch() before
+ * parse(); unknown arguments fail with the full supported-flag list
+ * rather than a bare fatal.
  */
 class ArgParser
 {
@@ -145,10 +141,6 @@ class ArgParser
                 else
                     fatal("unknown engine '%s' (step|batch)",
                           e.c_str());
-            } else if (a.rfind("--parallel=", 0) == 0) {
-                markSeen("parallel", seen);
-                cfg.parallel = std::strtoull(a.substr(11).c_str(),
-                                             nullptr, 0);
             } else if (a.rfind("--validate=", 0) == 0) {
                 markSeen("validate", seen);
                 cfg.validateMode = a.substr(11);

@@ -12,8 +12,8 @@
  * The bench exits nonzero if any faulted configuration with
  * replication >= 2 and the ladder armed leaves a stalled request:
  * every request must resolve via retry, replica, or local fallback.
- * CI runs `--quick` twice (serial and --parallel=2) and byte-diffs
- * the exports, so the faulted runs double as determinism fixtures.
+ * CI runs `--quick` twice and byte-diffs the exports, so the faulted
+ * runs double as determinism fixtures.
  *
  * The exported configuration also runs with the telemetry plane on,
  * continuous profiling included: per-window fleet p99 flip latency
@@ -21,7 +21,7 @@
  * winning-mask table follows, and `--telemetry=<path>` writes the
  * whole plane as JSON while the common `--profile=<path>` /
  * `--flamegraph=<path>` flags export the fleet-merged profile — all
- * byte-identical serial vs --parallel, so CI diffs them too.
+ * byte-identical across repeat runs, so CI diffs them too.
  * `--bench-out=<path>` appends a git-stamped run of the exported
  * config's key ratios to a trajectory file (see bench/trajectory).
  *
@@ -37,7 +37,7 @@
  * bit, swapped operand) must be rejected before any shard or replica
  * installs it — both conditions gate the exit code.
  * `--validate-out=<path>` writes the per-mode summary as stable-key
- * JSON (byte-identical serial vs --parallel, so CI diffs it), and
+ * JSON (byte-identical across repeat runs, so CI diffs it), and
  * the common `--validate=<mode>` flag picks the exported
  * configuration's gate mode.
  *
@@ -85,7 +85,7 @@ fleet::FleetStats
 runFleet(uint32_t servers, double ms, double mean_ms, uint64_t seed,
          const faults::FaultConfig &faults,
          const fleet::RetryPolicy &retry, uint32_t replication,
-         uint32_t workers, bool export_obs)
+         bool export_obs)
 {
     fleet::FleetConfig cfg;
     cfg.numServers = servers;
@@ -95,7 +95,6 @@ runFleet(uint32_t servers, double ms, double mean_ms, uint64_t seed,
     cfg.faults = faults;
     cfg.retry = retry;
     cfg.service.replication = replication;
-    cfg.parallelWorkers = workers;
     fleet::FleetSim sim(cfg);
     sim.run(ms);
     if (export_obs)
@@ -148,7 +147,7 @@ fleet::FleetConfig
 telemetryFleetConfig(uint32_t servers, double mean_ms, uint64_t seed,
                      const faults::FaultConfig &faults,
                      const fleet::RetryPolicy &retry,
-                     uint32_t replication, uint32_t workers)
+                     uint32_t replication)
 {
     fleet::FleetConfig cfg;
     cfg.numServers = servers;
@@ -158,7 +157,6 @@ telemetryFleetConfig(uint32_t servers, double mean_ms, uint64_t seed,
     cfg.faults = faults;
     cfg.retry = retry;
     cfg.service.replication = replication;
-    cfg.parallelWorkers = workers;
     cfg.telemetry.enabled = true;
     return cfg;
 }
@@ -200,7 +198,7 @@ addFleetSlos(fleet::TelemetryHub &hub, double flip_p99_threshold)
  *  hash, so the outcome is deterministic). */
 fleet::FleetStats
 runGate(uint32_t servers, double ms, double mean_ms, uint64_t seed,
-        validate::Mode mode, bool inject, uint32_t workers)
+        validate::Mode mode, bool inject)
 {
     fleet::FleetConfig cfg;
     cfg.numServers = servers;
@@ -215,7 +213,6 @@ runGate(uint32_t servers, double ms, double mean_ms, uint64_t seed,
     cfg.validate.mode = mode;
     if (inject)
         cfg.faults.miscompileProb = 0.9;
-    cfg.parallelWorkers = workers;
     fleet::FleetSim sim(cfg);
     sim.run(ms);
     return sim.stats();
@@ -244,8 +241,7 @@ validateOverhead(const fleet::ServiceStats &st)
  *  if any gate condition fails. */
 bool
 runValidationGate(uint32_t servers, double ms, double mean_ms,
-                  uint64_t seed, uint32_t workers,
-                  const std::string &out_path,
+                  uint64_t seed, const std::string &out_path,
                   double *efficiency_out)
 {
     bool ok = true;
@@ -257,8 +253,7 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
         GateRow r;
         r.config = "clean";
         r.mode = validate::Mode::Ir;
-        r.st = runGate(servers, ms, mean_ms, seed, r.mode, false,
-                       workers)
+        r.st = runGate(servers, ms, mean_ms, seed, r.mode, false)
                    .service;
         if (r.st.validateFails != 0 || r.st.compiles == 0 ||
             validateOverhead(r.st) >= 0.05)
@@ -274,8 +269,7 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
         GateRow r;
         r.config = "miscompiling";
         r.mode = mode;
-        r.st = runGate(servers, ms, mean_ms, seed, mode, true,
-                       workers)
+        r.st = runGate(servers, ms, mean_ms, seed, mode, true)
                    .service;
         if (mode != validate::Mode::Off &&
             (r.st.miscompilesInjected == 0 ||
@@ -373,7 +367,7 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
  */
 fleet::FleetStats
 runHotloop(uint32_t servers, double ms, double mean_ms, uint64_t seed,
-           uint32_t workers, validate::Mode mode, bool osr)
+           validate::Mode mode, bool osr)
 {
     fleet::FleetConfig cfg;
     cfg.numServers = servers;
@@ -385,7 +379,6 @@ runHotloop(uint32_t servers, double ms, double mean_ms, uint64_t seed,
     cfg.retry = ladder(true);
     cfg.service.replication = 2;
     cfg.validate.mode = mode;
-    cfg.parallelWorkers = workers;
     cfg.osr = osr;
     fleet::FleetSim sim(cfg);
     sim.run(ms);
@@ -402,7 +395,7 @@ runHotloop(uint32_t servers, double ms, double mean_ms, uint64_t seed,
  */
 bool
 runHotloopStudy(uint32_t servers, double ms, double mean_ms,
-                uint64_t seed, uint32_t workers, validate::Mode mode,
+                uint64_t seed, validate::Mode mode,
                 const std::string &osr_mode,
                 const std::string &out_path)
 {
@@ -414,12 +407,12 @@ runHotloopStudy(uint32_t servers, double ms, double mean_ms,
     std::vector<Row> rows;
     if (osr_mode != "on")
         rows.push_back({"entry-only",
-                        runHotloop(servers, ms, mean_ms, seed,
-                                   workers, mode, false)});
+                        runHotloop(servers, ms, mean_ms, seed, mode,
+                                   false)});
     if (osr_mode != "off")
         rows.push_back({"osr",
-                        runHotloop(servers, ms, mean_ms, seed,
-                                   workers, mode, true)});
+                        runHotloop(servers, ms, mean_ms, seed, mode,
+                                   true)});
 
     bool ok = true;
     TextTable t("Hot-loop flip-effect latency: entry-only vs "
@@ -579,11 +572,10 @@ sloCases()
  *  calibration point for the flip_p99 SLO. */
 double
 calibrateFlipP99(uint32_t servers, double ms, double mean_ms,
-                 uint64_t seed, uint32_t workers)
+                 uint64_t seed)
 {
     fleet::FleetConfig cfg = telemetryFleetConfig(
-        servers, mean_ms, seed, faultsAt(0.0), ladder(true), 2,
-        workers);
+        servers, mean_ms, seed, faultsAt(0.0), ladder(true), 2);
     fleet::FleetSim sim(cfg);
     sim.run(ms);
     sim.flushTelemetry();
@@ -602,7 +594,7 @@ calibrateFlipP99(uint32_t servers, double ms, double mean_ms,
  */
 bool
 runSloAcceptance(uint32_t servers, double ms, double mean_ms,
-                 uint64_t seed, uint32_t workers)
+                 uint64_t seed)
 {
     bool ok = true;
     // Dense request traffic: rare-event classes (drops, corruptions)
@@ -611,8 +603,7 @@ runSloAcceptance(uint32_t servers, double ms, double mean_ms,
 
     // Headroom over the worst benign window: benign runs never page
     // flip_p99, faulted runs that visibly stretch the tail do.
-    double benign_p99 = calibrateFlipP99(servers, ms, mean_ms, seed,
-                                         workers);
+    double benign_p99 = calibrateFlipP99(servers, ms, mean_ms, seed);
     double flip_threshold = 2.0 * std::max(benign_p99, 1000.0);
     std::printf("calibration: benign worst-window flip p99 %.0f "
                 "cycles -> flip_p99 SLO threshold %.0f\n\n",
@@ -624,8 +615,7 @@ runSloAcceptance(uint32_t servers, double ms, double mean_ms,
 
     {
         fleet::FleetConfig cfg = telemetryFleetConfig(
-            servers, mean_ms, seed, faultsAt(0.0), ladder(true), 2,
-            workers);
+            servers, mean_ms, seed, faultsAt(0.0), ladder(true), 2);
         fleet::FleetSim sim(cfg);
         addFleetSlos(*sim.telemetry(), flip_threshold);
         sim.run(ms);
@@ -640,7 +630,7 @@ runSloAcceptance(uint32_t servers, double ms, double mean_ms,
 
     for (const SloCase &c : sloCases()) {
         fleet::FleetConfig cfg = telemetryFleetConfig(
-            servers, mean_ms, seed, c.cfg, ladder(true), 2, workers);
+            servers, mean_ms, seed, c.cfg, ladder(true), 2);
         fleet::FleetSim sim(cfg);
         addFleetSlos(*sim.telemetry(), flip_threshold);
         sim.run(ms);
@@ -730,7 +720,6 @@ main(int argc, char **argv)
         servers = 4;
         ms = 150.0;
     }
-    uint32_t workers = static_cast<uint32_t>(obs_cfg.parallel);
     // Parsed up front so a typo fails before any simulation runs;
     // picks the exported telemetry configuration's gate mode.
     validate::Mode export_mode = fleet::FleetConfig{}.validate.mode;
@@ -739,8 +728,8 @@ main(int argc, char **argv)
 
     if (hotloop_mode) {
         bool ok = runHotloopStudy(static_cast<uint32_t>(servers), ms,
-                                  mean_ms, obs_cfg.seed, workers,
-                                  export_mode, obs_cfg.osr,
+                                  mean_ms, obs_cfg.seed, export_mode,
+                                  obs_cfg.osr,
                                   hotloop_out);
         bench::exportObs(obs_cfg);
         if (!ok) {
@@ -754,7 +743,7 @@ main(int argc, char **argv)
 
     if (slo_mode) {
         bool ok = runSloAcceptance(static_cast<uint32_t>(servers), ms,
-                                   mean_ms, obs_cfg.seed, workers);
+                                   mean_ms, obs_cfg.seed);
         bench::exportObs(obs_cfg);
         if (!ok) {
             std::fprintf(stderr,
@@ -770,7 +759,7 @@ main(int argc, char **argv)
 
     fleet::FleetStats benign = runFleet(
         static_cast<uint32_t>(servers), ms, mean_ms, obs_cfg.seed,
-        faultsAt(0.0), ladder(false), 1, workers, false);
+        faultsAt(0.0), ladder(false), 1, false);
     uint64_t benign_cycles = benign.totalCompileCycles();
 
     {
@@ -793,7 +782,7 @@ main(int argc, char **argv)
                     fleet::FleetStats st = runFleet(
                         static_cast<uint32_t>(servers), ms, mean_ms,
                         obs_cfg.seed, lv.cfg, pol.policy, repl,
-                        workers, false);
+                        false);
                     double overhead = benign_cycles == 0 ? 0.0 :
                         static_cast<double>(
                             st.totalCompileCycles()) /
@@ -830,7 +819,7 @@ main(int argc, char **argv)
                 fleet::FleetStats st = runFleet(
                     static_cast<uint32_t>(servers), ms / 2.0,
                     mean_ms, obs_cfg.seed, f, ladder(false), repl,
-                    workers, false);
+                    false);
                 t.addRow({TextTable::fmt(drop, 2),
                           strformat("%u", repl),
                           bench::fmtRatio(st.service.hitRateOf()),
@@ -855,18 +844,18 @@ main(int argc, char **argv)
     std::printf("\n");
     double validate_efficiency = 1.0;
     if (!runValidationGate(static_cast<uint32_t>(servers), ms,
-                           mean_ms, obs_cfg.seed, workers,
-                           validate_out, &validate_efficiency))
+                           mean_ms, obs_cfg.seed, validate_out,
+                           &validate_efficiency))
         gate_failed = true;
 
     // The exported configuration: moderate faults, R=2, full ladder,
-    // telemetry plane on. CI re-runs this twice (serial and
-    // --parallel=2) and byte-diffs the files — fault injection and
-    // the scrape plane must not break determinism. The common
+    // telemetry plane on. CI re-runs this twice and byte-diffs the
+    // files — fault injection and the scrape plane must not break
+    // determinism. The common
     // --validate flag picks its install-gate mode (default tier 1).
     fleet::FleetConfig ecfg = telemetryFleetConfig(
         static_cast<uint32_t>(servers), mean_ms, obs_cfg.seed,
-        faultsAt(1.0), ladder(true), 2, workers);
+        faultsAt(1.0), ladder(true), 2);
     ecfg.validate.mode = export_mode;
     // The shared --osr flag turns on-stack replacement on for the
     // exported config ("both" is only meaningful to --hotloop).

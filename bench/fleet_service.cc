@@ -14,7 +14,7 @@
  * When the common `--profile=<path>` / `--flamegraph=<path>` flags
  * are given, the shared-service configuration re-runs with the
  * telemetry plane and continuous profiler on: the fleet-merged
- * profile is exported (byte-identical serial vs --parallel) and the
+ * profile is exported (byte-identical across repeat runs) and the
  * variant scoreboard's winning-mask table is printed.
  *
  * Flags (beyond the common set): --servers=<n>, --ms=<x> (simulated
@@ -45,7 +45,7 @@ bool g_osr = false;
 fleet::FleetStats
 runFleet(uint32_t servers, bool remote, double ms, double mean_ms,
          uint64_t seed, const fleet::ServiceConfig &svc,
-         bool export_obs, uint32_t workers)
+         bool export_obs)
 {
     fleet::FleetConfig cfg;
     cfg.numServers = servers;
@@ -53,7 +53,6 @@ runFleet(uint32_t servers, bool remote, double ms, double mean_ms,
     cfg.meanRequestMs = mean_ms;
     cfg.seed = seed;
     cfg.service = svc;
-    cfg.parallelWorkers = workers;
     cfg.validate.mode = g_validate;
     cfg.osr = g_osr;
     fleet::FleetSim sim(cfg);
@@ -96,14 +95,12 @@ main(int argc, char **argv)
                      "Hit rate", "Host branches", "Dedup"});
         fleet::FleetStats local = runFleet(
             static_cast<uint32_t>(servers), false, ms, mean_ms,
-            obs_cfg.seed, svc, false,
-            static_cast<uint32_t>(obs_cfg.parallel));
+            obs_cfg.seed, svc, false);
         // The remote run is exported last so --metrics/--trace
         // describe the shared-service configuration.
         fleet::FleetStats remote = runFleet(
             static_cast<uint32_t>(servers), true, ms, mean_ms,
-            obs_cfg.seed, svc, true,
-            static_cast<uint32_t>(obs_cfg.parallel));
+            obs_cfg.seed, svc, true);
         t.addRow({"local",
                   strformat("%llu", static_cast<unsigned long long>(
                                         local.totalCompileCycles())),
@@ -166,8 +163,7 @@ main(int argc, char **argv)
                     sc.shardCapacity = cap;
                     fleet::FleetStats st = runFleet(
                         n, true, ms / 2.0, mean_ms, obs_cfg.seed,
-                        sc, false,
-                        static_cast<uint32_t>(obs_cfg.parallel));
+                        sc, false);
                     t.addRow(
                         {strformat("%u", n), strformat("%u", shards),
                          strformat("%u", cap),
@@ -201,7 +197,6 @@ main(int argc, char **argv)
         cfg.meanRequestMs = mean_ms;
         cfg.seed = obs_cfg.seed;
         cfg.service = svc;
-        cfg.parallelWorkers = static_cast<uint32_t>(obs_cfg.parallel);
         cfg.validate.mode = g_validate;
         cfg.osr = g_osr;
         cfg.telemetry.enabled = true;

@@ -11,11 +11,12 @@
  * DRAM modeling dominates both engines, so batching only shaves the
  * smaller scheduling share). Each runs with one hot core — the
  * fleet shape — and colocated on two cores, the horizon's worst
- * case. Then host wall time for an 8-server FleetSim stepped
- * serially vs on `--parallel=N` worker threads. Every configuration
- * cross-checks its simulated totals against the reference run, so a
- * speedup that changed observable behavior fails the bench instead
- * of reporting a number.
+ * case. Every configuration cross-checks its simulated totals
+ * against the reference run, so a speedup that changed observable
+ * behavior fails the bench instead of reporting a number. One timed
+ * 8-server FleetSim run follows; it supplies the install gate's
+ * cycle overhead and the wall time the off-path gates below are
+ * measured against.
  *
  * Also bounds the observability off-path cost: with the tracer
  * disabled every instrumentation site reduces to one branch on
@@ -33,18 +34,14 @@
  * rather than overwriting, so the file accumulates a perf history
  * that bench/trajectory gates on. `--min-speedup=<x>` still exits
  * nonzero when the single-proc ALU batch/step ratio falls below x,
- * which is how CI keeps the fast path honest. The multi-proc and
- * fleet gates (`--min-speedup-2proc`, `--min-fleet-speedup`) only
- * bind when the host reports >= 2 hardware threads — on a 1-thread
- * container the parallel fleet legitimately clamps to serial, so
- * those gates print a skip notice instead. `hw_threads` rides along
- * as a metric (and per case in detail) so the trajectory checker can
- * compare host-dependent metrics like-for-like (--match=hw_threads).
+ * which is how CI keeps the fast path honest. The multi-proc gate
+ * (`--min-speedup-2proc`) only binds when the host reports >= 2
+ * hardware threads and prints a skip notice otherwise. `hw_threads`
+ * rides along in detail, per run and per case.
  *
  * Flags (beyond the common set): --ms=<x> (simulated run length,
  * single machine), --fleet-ms=<x>, --servers=<n>, --out=<path>,
- * --min-speedup=<x>, --min-speedup-2proc=<x>, --min-fleet-speedup=<x>
- * and --quick.
+ * --min-speedup=<x>, --min-speedup-2proc=<x> and --quick.
  */
 
 #include "common.h"
@@ -140,13 +137,11 @@ struct FleetResult
 };
 
 FleetResult
-runFleetTimed(uint32_t servers, uint32_t workers, double ms,
-              uint64_t seed)
+runFleetTimed(uint32_t servers, double ms, uint64_t seed)
 {
     fleet::FleetConfig cfg;
     cfg.numServers = servers;
     cfg.seed = seed;
-    cfg.parallelWorkers = workers;
     fleet::FleetSim sim(cfg);
     auto t0 = std::chrono::steady_clock::now();
     sim.run(ms);
@@ -192,24 +187,6 @@ checkSingleEquivalent(const SingleResult &step,
               static_cast<unsigned long long>(step.branches),
               static_cast<unsigned long long>(batch.instructions),
               static_cast<unsigned long long>(batch.branches));
-}
-
-void
-checkFleetEquivalent(const fleet::FleetStats &serial,
-                     const fleet::FleetStats &par, uint32_t workers)
-{
-    if (serial.deployRequests != par.deployRequests ||
-        serial.hostBranches != par.hostBranches ||
-        serial.service.compiles != par.service.compiles ||
-        serial.service.requests != par.service.requests)
-        fatal("fleet mismatch at --parallel=%u: serial "
-              "(%llu req, %llu branches) vs parallel "
-              "(%llu req, %llu branches)",
-              workers,
-              static_cast<unsigned long long>(serial.deployRequests),
-              static_cast<unsigned long long>(serial.hostBranches),
-              static_cast<unsigned long long>(par.deployRequests),
-              static_cast<unsigned long long>(par.hostBranches));
 }
 
 std::string
@@ -289,7 +266,6 @@ main(int argc, char **argv)
     std::string out = "BENCH_engine.json";
     double min_speedup = 0.0;
     double min_speedup_2proc = 0.0;
-    double min_fleet_speedup = 0.0;
     bool quick = false;
     bench::ArgParser parser;
     parser.addFlag("ms", &ms, "simulated ms, single machine");
@@ -301,9 +277,6 @@ main(int argc, char **argv)
     parser.addFlag("min-speedup-2proc", &min_speedup_2proc,
                    "fail unless 2-proc ALU batch/step >= x; skipped "
                    "with a notice on a <2-hw-thread host");
-    parser.addFlag("min-fleet-speedup", &min_fleet_speedup,
-                   "fail unless the --parallel=2 fleet speedup >= x; "
-                   "skipped with a notice on a <2-hw-thread host");
     parser.addSwitch("quick", &quick, "small configuration for CI");
     bench::ObsConfig obs_cfg = parser.parse(argc, argv);
     if (quick) {
@@ -368,46 +341,6 @@ main(int argc, char **argv)
         t.print();
     }
 
-    // Fleet: serial reference first, then each worker count against
-    // it. The serial run also serves as the equivalence baseline.
-    std::vector<uint32_t> worker_counts = quick ?
-        std::vector<uint32_t>{1, 2} : std::vector<uint32_t>{1, 2, 4};
-    std::vector<FleetResult> fleet_runs;
-    for (uint32_t w : worker_counts) {
-        fleet_runs.push_back(runFleetTimed(
-            static_cast<uint32_t>(servers), w, fleet_ms,
-            obs_cfg.seed));
-        if (w != 1)
-            checkFleetEquivalent(fleet_runs.front().stats,
-                                 fleet_runs.back().stats, w);
-    }
-
-    {
-        std::printf("\n");
-        TextTable t(strformat("Fleet of %llu servers: serial vs "
-                              "--parallel stepping",
-                              static_cast<unsigned long long>(
-                                  servers)));
-        t.setHeader({"Workers", "Wall s", "Host branches", "Speedup"});
-        for (size_t i = 0; i < fleet_runs.size(); ++i) {
-            const FleetResult &r = fleet_runs[i];
-            double sp = r.wallSec <= 0.0 ? 0.0 :
-                fleet_runs.front().wallSec / r.wallSec;
-            t.addRow({strformat("%u", worker_counts[i]),
-                      strformat("%.3f", r.wallSec),
-                      strformat("%llu", static_cast<unsigned long long>(
-                                            r.stats.hostBranches)),
-                      i == 0 ? "-" : bench::fmtRatio(sp)});
-        }
-        t.print();
-        unsigned hw = std::thread::hardware_concurrency();
-        if (hw <= 1)
-            std::printf("(host has %u hardware thread%s: --parallel "
-                        "cannot scale here, shown for equivalence "
-                        "only)\n",
-                        hw ? hw : 1, hw == 1 ? "" : "s");
-    }
-
     // ---- hot-loop OSR flip-latency tail (DESIGN.md §14) ----
     // Entry-only control vs OSR under identical traffic; the worst
     // flip-effect latencies feed the trajectory as host-independent
@@ -457,6 +390,24 @@ main(int argc, char **argv)
                     osr_ratio);
     }
 
+    // ---- fleet: the one timed run ----
+    // The tick and profiler counters bracket it for the off-path
+    // gates that follow.
+    uint64_t ticks_before =
+        obs::metrics().counter("runtime.ticks").value();
+    uint64_t prof_before =
+        obs::metrics().counter("runtime.profiler.enabled").value();
+    FleetResult fleet_run = runFleetTimed(
+        static_cast<uint32_t>(servers), fleet_ms, obs_cfg.seed);
+    uint64_t fleet_ticks =
+        obs::metrics().counter("runtime.ticks").value() - ticks_before;
+    std::printf("\nfleet of %llu servers: %.3f s wall, %llu host "
+                "branches\n",
+                static_cast<unsigned long long>(servers),
+                fleet_run.wallSec,
+                static_cast<unsigned long long>(
+                    fleet_run.stats.hostBranches));
+
     // ---- observability + profiler off-path overhead ----
     double guard_sec = 0.0;
     uint64_t traced_events = 0;
@@ -472,26 +423,8 @@ main(int argc, char **argv)
         std::printf("\nobs off-path overhead: skipped under "
                     "--trace\n");
     } else {
-        guard_sec = guardCheckSeconds();
-
-        // How often would the off-path branch be taken? Count the
-        // events an identical traced run records: every one of them
-        // is a guard that passed, so it bounds the guard takes of
-        // the untraced run from above within rounding.
-        obs::tracer().setEnabled(true);
-        runFleetTimed(static_cast<uint32_t>(servers), 1, fleet_ms,
-                      obs_cfg.seed);
-        traced_events = obs::tracer().eventCount();
-        obs::tracer().clear();
-        obs::tracer().setEnabled(false);
-
-        uint64_t ticks_before =
-            obs::metrics().counter("runtime.ticks").value();
-        uint64_t prof_before =
-            obs::metrics().counter("runtime.profiler.enabled").value();
-        FleetResult off = runFleetTimed(
-            static_cast<uint32_t>(servers), 1, fleet_ms,
-            obs_cfg.seed);
+        // The timed fleet run above is the obs-off run.
+        const FleetResult &off = fleet_run;
         if (obs::tracer().eventCount() != 0)
             fatal("obs-off run recorded %zu trace events; gating is "
                   "broken",
@@ -500,6 +433,18 @@ main(int argc, char **argv)
             != prof_before)
             fatal("profiler-off run enabled a profiler; gating is "
                   "broken");
+        guard_sec = guardCheckSeconds();
+
+        // How often would the off-path branch be taken? Count the
+        // events an identical traced run records: every one of them
+        // is a guard that passed, so it bounds the guard takes of
+        // the untraced run from above within rounding.
+        obs::tracer().setEnabled(true);
+        runFleetTimed(static_cast<uint32_t>(servers), fleet_ms,
+                      obs_cfg.seed);
+        traced_events = obs::tracer().eventCount();
+        obs::tracer().clear();
+        obs::tracer().setEnabled(false);
 
         obs_overhead = off.wallSec <= 0.0 ? 0.0 :
             static_cast<double>(traced_events) * guard_sec /
@@ -516,10 +461,7 @@ main(int argc, char **argv)
         // Disabled continuous profiling costs one null test in
         // sample() and one in tick(), per monitoring tick.
         null_sec = nullCheckSeconds();
-        uint64_t ticks =
-            obs::metrics().counter("runtime.ticks").value() -
-            ticks_before;
-        profiler_checks = 2 * ticks;
+        profiler_checks = 2 * fleet_ticks;
         profiler_overhead = off.wallSec <= 0.0 ? 0.0 :
             static_cast<double>(profiler_checks) * null_sec /
                 off.wallSec;
@@ -543,12 +485,6 @@ main(int argc, char **argv)
     };
     double alu_speedup = case_speedup("alu", 1);
     double alu_speedup_2p = case_speedup("alu", 2);
-    double fleet2_speedup = 0.0;
-    for (size_t i = 1; i < fleet_runs.size(); ++i) {
-        if (worker_counts[i] == 2 && fleet_runs[i].wallSec > 0.0)
-            fleet2_speedup =
-                fleet_runs.front().wallSec / fleet_runs[i].wallSec;
-    }
     std::printf("\nbatch engine: %sx on the ALU kernel (1 proc), "
                 "%sx at 2 procs, %sx on soplex; exports "
                 "byte-identical across all modes\n",
@@ -565,22 +501,9 @@ main(int argc, char **argv)
             metrics[strformat("%s_speedup_%uproc",
                               c.workload.c_str(), c.procs)] =
                 c.speedup();
-        for (size_t i = 1; i < fleet_runs.size(); ++i) {
-            metrics[strformat("fleet_parallel%u_speedup",
-                              worker_counts[i])] =
-                fleet_runs[i].wallSec <= 0.0 ? 0.0 :
-                fleet_runs.front().wallSec / fleet_runs[i].wallSec;
-        }
         metrics["obs_off_overhead_fraction"] = obs_overhead;
         metrics["profiler_off_overhead_fraction"] =
             profiler_overhead;
-        // Host shape as a first-class metric so the trajectory
-        // checker can restrict host-dependent comparisons (the
-        // fleet_parallel* speedups) to like-for-like runs with
-        // --match=hw_threads.
-        metrics["hw_threads"] =
-            static_cast<double>(std::max<unsigned>(
-                std::thread::hardware_concurrency(), 1));
         // Decoded-superblock dispatch hit rate over every batch
         // case: a pure simulation ratio, identical on any host.
         {
@@ -595,13 +518,12 @@ main(int argc, char **argv)
                 : static_cast<double>(hits) /
                     static_cast<double>(hits + misses);
         }
-        // Install-gate cost of the serial fleet run, as a ratio of
+        // Install-gate cost of the fleet run, as a ratio of
         // simulated cycles: host-speed independent, so the
         // trajectory checker can flag a validator that gets
         // expensive relative to the compiles it guards.
-        if (!fleet_runs.empty()) {
-            const fleet::ServiceStats &fsvc =
-                fleet_runs.front().stats.service;
+        {
+            const fleet::ServiceStats &fsvc = fleet_run.stats.service;
             metrics["validate_overhead_fraction"] =
                 fsvc.compileCycles == 0 ? 0.0 :
                 static_cast<double>(fsvc.validateCycles) /
@@ -637,18 +559,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(c.batch.sbHits),
                 static_cast<unsigned long long>(c.batch.sbMisses));
         }
-        detail += "], \"fleet_runs\": [";
-        for (size_t i = 0; i < fleet_runs.size(); ++i) {
-            detail += strformat(
-                "%s{\"parallel\": %u, \"wall_sec\": %.6f, "
-                "\"host_branches\": %llu}",
-                i ? ", " : "", worker_counts[i],
-                fleet_runs[i].wallSec,
-                static_cast<unsigned long long>(
-                    fleet_runs[i].stats.hostBranches));
-        }
         detail += strformat(
-            "], \"osr_hotloop\": {\"sim_ms\": %g, "
+            "], \"fleet\": {\"wall_sec\": %.6f, "
+            "\"host_branches\": %llu}",
+            fleet_run.wallSec,
+            static_cast<unsigned long long>(
+                fleet_run.stats.hostBranches));
+        detail += strformat(
+            ", \"osr_hotloop\": {\"sim_ms\": %g, "
             "\"worst_entry_only\": %llu, \"worst_osr\": %llu, "
             "\"entry_flips\": %llu, \"osr_flips\": %llu, "
             "\"pending_flips\": %llu, \"osr_redirects\": %llu, "
@@ -702,20 +620,6 @@ main(int argc, char **argv)
                          "FAIL: 2-proc ALU batch/step speedup %.3f "
                          "below required %.3f\n",
                          alu_speedup_2p, min_speedup_2proc);
-            return 1;
-        }
-    }
-    if (min_fleet_speedup > 0.0) {
-        if (hw_threads < 2) {
-            std::printf("SKIP: --min-fleet-speedup gate needs >= 2 "
-                        "hardware threads (host reports %u; "
-                        "setParallel clamps to serial here)\n",
-                        hw_threads);
-        } else if (fleet2_speedup < min_fleet_speedup) {
-            std::fprintf(stderr,
-                         "FAIL: --parallel=2 fleet speedup %.3f "
-                         "below required %.3f\n",
-                         fleet2_speedup, min_fleet_speedup);
             return 1;
         }
     }

@@ -23,14 +23,6 @@
  * with a single run passes trivially — there is no prior to regress
  * against. Exits nonzero on a regression, a missing or unparsable
  * file, or a newest run lacking the gated metric.
- *
- * Some metrics are only comparable across like hosts: a fleet
- * --parallel speedup depends on how many hardware threads the runner
- * has, even though it is a ratio. --match=<metric> restricts the
- * best-prior search to runs whose value of that metric equals the
- * newest run's value (runs lacking it are excluded), so e.g.
- * --metric=fleet_parallel2_speedup --match=hw_threads gates a
- * 2-thread runner only against prior 2-thread runs.
  */
 
 #include <cstdio>
@@ -50,8 +42,6 @@ struct Run
     std::string label;
     double value = 0.0;
     bool hasMetric = false;
-    double matchValue = 0.0;
-    bool hasMatch = false;
 };
 
 } // namespace
@@ -61,7 +51,6 @@ main(int argc, char **argv)
 {
     std::string file = "BENCH_engine.json";
     std::string metric = "alu_speedup_1proc";
-    std::string match;
     double tolerance = 0.35;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -69,8 +58,6 @@ main(int argc, char **argv)
             file = a.substr(7);
         else if (a.rfind("--metric=", 0) == 0)
             metric = a.substr(9);
-        else if (a.rfind("--match=", 0) == 0)
-            match = a.substr(8);
         else if (a.rfind("--tolerance=", 0) == 0)
             tolerance = std::strtod(a.substr(12).c_str(), nullptr);
         else if (a == "-v")
@@ -79,9 +66,6 @@ main(int argc, char **argv)
             fatal("unknown argument %s\nsupported flags:\n"
                   "  --file=<path>      trajectory file\n"
                   "  --metric=<name>    metric to gate on\n"
-                  "  --match=<name>     only compare against runs "
-                  "whose value of this metric equals the newest "
-                  "run's\n"
                   "  --tolerance=<x>    allowed fractional drop\n"
                   "  -v                 debug logging",
                   a.c_str());
@@ -136,28 +120,14 @@ main(int argc, char **argv)
             r.hasMetric = true;
             r.value = v->asNumber();
         }
-        if (!match.empty()) {
-            const JsonValue *mv = m ? m->find(match) : nullptr;
-            if (mv && mv->isNumber()) {
-                r.hasMatch = true;
-                r.matchValue = mv->asNumber();
-            }
-        }
         runs.push_back(std::move(r));
     }
 
-    // Best prior = max over all runs except the newest; with --match,
-    // only runs recorded on a like host (equal match-metric value)
-    // are eligible. Runs lacking the match metric predate it being
-    // recorded, so their host is unknown — exclude them.
+    // Best prior = max over all runs except the newest.
     const Run &newest = runs.back();
     const Run *best = nullptr;
     for (size_t i = 0; i + 1 < runs.size(); ++i) {
         if (!runs[i].hasMetric)
-            continue;
-        if (!match.empty() &&
-            (!runs[i].hasMatch || !newest.hasMatch ||
-             runs[i].matchValue != newest.matchValue))
             continue;
         if (!best || runs[i].value > best->value)
             best = &runs[i];
@@ -188,15 +158,9 @@ main(int argc, char **argv)
         return 1;
     }
     if (!best) {
-        if (!match.empty())
-            std::printf("no prior run with %s matches the newest "
-                        "run's %s: nothing to regress against, "
-                        "pass\n",
-                        metric.c_str(), match.c_str());
-        else
-            std::printf("single run with %s: nothing prior to "
-                        "regress against, pass\n",
-                        metric.c_str());
+        std::printf("single run with %s: nothing prior to regress "
+                    "against, pass\n",
+                    metric.c_str());
         return 0;
     }
 

@@ -8,21 +8,19 @@
  * schedule* of those events, consulted by fleet::Cluster and
  * fleet::CompileService at quantum barriers, so a faulted run is as
  * reproducible as a benign one — byte-identical metrics and traces
- * across repeats, serial or parallel (DESIGN.md §9).
+ * across repeat runs (DESIGN.md §9).
  *
  * Two kinds of decision, with different determinism mechanics:
  *
  *  - *Schedules* (shard outages) are generated lazily from per-shard
  *    forked Rng streams: exponential up-times, fixed restart delay.
- *    Only the coordinator consults them (inside
- *    CompileService::advance()), so lazy extension needs no locking.
+ *    Only CompileService::advance() consults them.
  *
  *  - *Pure decisions* (drop/delay/corrupt a request, pause a server
  *    in a quantum) are stateless hashes of (seed, identity): any
- *    thread may evaluate them, in any order, and always gets the
- *    same answer. This is what keeps parallel fleet stepping
- *    byte-identical to serial under fault injection — no shared RNG
- *    stream whose consumption order could differ.
+ *    caller may evaluate them, in any order, and always gets the
+ *    same answer. No shared RNG stream is consumed, so a decision
+ *    never depends on what else was evaluated before it.
  */
 
 #ifndef PROTEAN_FAULTS_PLAN_H
@@ -129,10 +127,9 @@ struct MiscompileSpec
 /**
  * The seeded fault schedule.
  *
- * Coordinator-only methods (outage schedule access) lazily extend
- * per-shard streams and must be called from the thread driving
- * CompileService::advance(). Pure decision methods are const,
- * stateless, and safe from any thread.
+ * Schedule methods (outage access) lazily extend per-shard streams
+ * and are called only from CompileService::advance(). Pure decision
+ * methods are const, stateless and order-independent.
  */
 class FaultPlan
 {
@@ -163,7 +160,7 @@ class FaultPlan
     void addMiscompile(uint64_t key, uint32_t attempt,
                        const MiscompileSpec &spec);
 
-    // ----- coordinator-only schedule access -----
+    // ----- schedule access (CompileService::advance only) -----
 
     /** Is the shard inside an outage window at `cycle`?
      *  (Lazily extends the shard's schedule through `cycle`.) */
@@ -176,7 +173,7 @@ class FaultPlan
     /** Mark the outage returned by peekOutage as applied. */
     void consumeOutage(uint32_t shard);
 
-    // ----- pure decisions (thread-safe, order-independent) -----
+    // ----- pure decisions (stateless, order-independent) -----
 
     /** Request `seq` is dropped in transit. */
     bool dropRequest(uint64_t seq) const;
@@ -201,8 +198,8 @@ class FaultPlan
      * true and `out` is non-null, *out receives the seeded mutation
      * to apply. Scripted pairs (addMiscompile) take precedence; the
      * probabilistic stream draws kind and site purely from
-     * (seed, key, attempt), so serial and parallel runs inject the
-     * identical bug in the identical build.
+     * (seed, key, attempt), so repeat runs inject the identical bug
+     * in the identical build.
      */
     bool miscompile(uint64_t key, uint32_t attempt,
                     MiscompileSpec *out = nullptr) const;

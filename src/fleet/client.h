@@ -29,7 +29,7 @@
  * Every rung is deterministic: timeouts/backoffs/hedges are machine
  * events, jitter comes from a per-server seeded Rng consumed in event
  * order, and responses fire at cluster barriers — so faulted runs are
- * byte-identical serial or parallel.
+ * byte-identical across repeat runs.
  */
 
 #ifndef PROTEAN_FLEET_CLIENT_H
@@ -190,9 +190,8 @@ class RemoteBackend : public runtime::CompileBackend
     /**
      * Merge this server's flip-latency histogram for the current
      * rollup window into `into`, then reset it. Called by the
-     * telemetry hub at cluster barriers (coordinator thread);
-     * resolve latencies are recorded by this machine's own callbacks
-     * during quanta, so the two never race.
+     * telemetry hub at cluster barriers; resolve latencies are
+     * recorded by this machine's own callbacks during quanta.
      */
     void drainFlipWindow(obs::HdrHistogram &into);
 

@@ -21,8 +21,6 @@ Cluster::Cluster(CompileService &svc) : svc_(svc)
         1, net.requestLatencyCycles + net.responseLatencyCycles);
 }
 
-Cluster::~Cluster() = default;
-
 void
 Cluster::addMachine(sim::Machine &m)
 {
@@ -32,30 +30,6 @@ Cluster::addMachine(sim::Machine &m)
               static_cast<unsigned long long>(m.now()),
               static_cast<unsigned long long>(now_));
     machines_.push_back(&m);
-}
-
-void
-Cluster::setParallel(uint32_t workers)
-{
-    uint32_t requested = std::max<uint32_t>(workers, 1);
-    uint32_t lanes =
-        std::min(requested, WorkerPool::recommendedLanes());
-    if (lanes < requested) {
-        // Lanes beyond the host's hardware threads only spin against
-        // each other (a 1-hw-thread container at --parallel=4 used
-        // to run 5x slower than serial). The clamp count is host-
-        // scoped: it describes this host, so it stays out of the
-        // deterministic metric exports.
-        obs::MetricsRegistry &reg = obs::metrics();
-        reg.setHostScoped("fleet.pool.clamped");
-        reg.counter("fleet.pool.clamped").inc();
-        warn("Cluster: clamping %u workers to %u (host has %u "
-             "hardware threads)",
-             requested, lanes, WorkerPool::recommendedLanes());
-    }
-    if (workers_ != lanes)
-        pool_.reset();
-    workers_ = lanes;
 }
 
 void
@@ -99,33 +73,10 @@ Cluster::run(uint64_t until_cycle)
     while (now_ < until_cycle) {
         uint64_t t = std::min(until_cycle, now_ + quantum_);
         applyServerPauses();
-        // Tracing forces serial stepping: the trace log records
-        // events in append order, which only the serial schedule
-        // reproduces. Metrics are commutative, so they do not.
-        bool parallel = workers_ > 1 && machines_.size() > 1 &&
-            !obs::tracer().enabled();
-        if (parallel) {
-            if (!pool_) {
-                uint32_t n = std::min<uint32_t>(
-                    workers_,
-                    static_cast<uint32_t>(machines_.size()));
-                pool_ = std::make_unique<WorkerPool>(n);
-            }
-            // Machines only meet the service this quantum; stage
-            // their submissions and replay them in machine order at
-            // the barrier so sequencing matches the serial schedule.
-            svc_.setDeferSubmissions(true);
-            pool_->parallelFor(machines_.size(), [this, t](size_t i) {
-                machines_[i]->run(t);
-            });
-            svc_.setDeferSubmissions(false);
-            svc_.flushDeferred();
-        } else {
-            // Fixed server order per quantum keeps the interleaving
-            // of service submissions deterministic.
-            for (sim::Machine *m : machines_)
-                m->run(t);
-        }
+        // Fixed server order per quantum keeps the interleaving of
+        // service submissions deterministic.
+        for (sim::Machine *m : machines_)
+            m->run(t);
         svc_.advance(t);
         now_ = t;
         if (barrierHook_)

@@ -13,25 +13,20 @@
  *
  * Within one quantum, machines never read each other's state: their
  * only shared interaction is submitting compile requests to the
- * service, which is resolved at the barrier. setParallel(N) exploits
- * that — machines advance concurrently on a worker pool while the
- * service stages submissions, then the coordinator replays them in
- * fixed machine order, so the parallel run is byte-identical to the
- * serial one (DESIGN.md §8). Tracing forces the serial path: the
- * tracer's event log is append-ordered, and only serial stepping
- * keeps that order reproducible.
+ * service, which is resolved at the barrier. Machines step in fixed
+ * registration order every quantum, so service sequence numbers,
+ * metrics and the append-ordered trace log are identical across
+ * repeat runs (DESIGN.md §8).
  */
 
 #ifndef PROTEAN_FLEET_CLUSTER_H
 #define PROTEAN_FLEET_CLUSTER_H
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "fleet/service.h"
 #include "sim/machine.h"
-#include "support/threadpool.h"
 
 namespace protean {
 namespace fleet {
@@ -41,28 +36,11 @@ class Cluster
 {
   public:
     explicit Cluster(CompileService &svc);
-    ~Cluster();
 
     /** Register a machine (non-owning). All machines must share the
-     *  cluster's current time. Registration order defines the serial
-     *  stepping order; for byte-identical parallel runs, clients'
-     *  server ids must follow it (FleetSim registers in id order). */
+     *  cluster's current time. Registration order is the stepping
+     *  order (FleetSim registers in server-id order). */
     void addMachine(sim::Machine &m);
-
-    /**
-     * Advance machines on up to `workers` threads per quantum
-     * (0 or 1 = serial). The count is clamped to
-     * WorkerPool::recommendedLanes() — oversubscribed lanes only
-     * spin against each other — with a warning and a host-scoped
-     * `fleet.pool.clamped` counter when the clamp bites, so a
-     * 1-hw-thread host degrades to serial instead of a 0.2x cliff.
-     * Exports stay byte-identical to serial runs; when the tracer is
-     * enabled, quanta silently run serially so trace event order is
-     * preserved too.
-     */
-    void setParallel(uint32_t workers);
-    /** Effective (post-clamp) worker count. */
-    uint32_t parallel() const { return workers_; }
 
     /**
      * Attach a fault plan (nullptr = benign). The cluster consults it
@@ -70,17 +48,16 @@ class Cluster
      * stalls, reboots, antagonists — applied by stealing cycles on
      * every core of the paused machine. The decision is a pure hash
      * of (server index, quantum start), applied by the coordinator
-     * before machines step, so serial and parallel runs pause
-     * identically.
+     * before machines step, so repeat runs pause identically.
      */
     void setFaultPlan(faults::FaultPlan *plan);
 
     /**
-     * Install a callback invoked on the coordinator thread at every
-     * barrier, after the service has resolved the quantum, with the
-     * new global cycle. Machines are quiescent at that point, so the
-     * hook may read any of their state (the telemetry hub scrapes
-     * here). One hook; set to nullptr to remove.
+     * Install a callback invoked at every barrier, after the service
+     * has resolved the quantum, with the new global cycle. Machines
+     * are quiescent at that point, so the hook may read any of their
+     * state (the telemetry hub scrapes here). One hook; set to
+     * nullptr to remove.
      */
     void setBarrierHook(std::function<void(uint64_t)> hook)
     {
@@ -104,14 +81,12 @@ class Cluster
     std::vector<sim::Machine *> machines_;
     uint64_t now_ = 0;
     uint64_t quantum_;
-    uint32_t workers_ = 1;
-    std::unique_ptr<WorkerPool> pool_;
     faults::FaultPlan *plan_ = nullptr;
     uint64_t pauses_ = 0;
     std::function<void(uint64_t)> barrierHook_;
 
     /** Apply injected whole-server pauses for the quantum starting
-     *  at now_ (coordinator thread, before machines step). */
+     *  at now_ (before machines step). */
     void applyServerPauses();
 };
 

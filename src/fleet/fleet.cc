@@ -76,7 +76,6 @@ FleetSim::FleetSim(const FleetConfig &cfg)
     }
     for (auto &s : servers_)
         scheduleNextRequest(*s);
-    cluster_.setParallel(cfg_.parallelWorkers);
 
     if (cfg_.telemetry.enabled) {
         if (cfg_.telemetry.scrapeCore >= cfg_.machine.numCores)
@@ -234,7 +233,7 @@ FleetSim::stats() const
         st.remoteHits += rc.remoteHits();
         st.hostBranches += s->machine->core(0).hpm().branches;
         // Pending flips are censored at the cluster barrier clock,
-        // which serial and parallel runs agree on byte-for-byte.
+        // which repeat runs agree on byte-for-byte.
         runtime::FlipEffectStats fe =
             s->rt->flipEffectStats(cluster_.now());
         st.entryFlips += fe.entryFlips;

@@ -53,10 +53,6 @@ struct FleetConfig
     uint64_t seed = 42;
     /** Server-side cost of installing a received variant. */
     uint64_t installCycles = 100;
-    /** Worker threads stepping machines per quantum (host-side
-     *  parallelism only; 0/1 = serial). Results are byte-identical
-     *  across settings — see Cluster::setParallel. */
-    uint32_t parallelWorkers = 1;
     /** Core charged with runtime/compile/install work. Defaults to
      *  the host's own core, the WSC configuration: no server
      *  dedicates a core to compilation, so local compiles steal host
@@ -213,8 +209,7 @@ class FleetSim
         std::unique_ptr<RemoteBackend> backend;
         std::unique_ptr<runtime::ProteanRuntime> rt;
         Rng rng;
-        /** Deploy requests issued by this server (kept per-server so
-         *  parallel quanta never contend on a shared counter). */
+        /** Deploy requests issued by this server. */
         uint64_t deploys = 0;
     };
 

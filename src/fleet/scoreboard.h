@@ -12,8 +12,8 @@
  * whole fleet?"
  *
  * Scores are mean IPC deltas over all recorded flips of a bucket —
- * plain sums, so merge order never matters and serial and parallel
- * fleet runs agree byte-for-byte. recommendMask breaks score ties
+ * plain sums, so merge order never matters and fleet runs agree
+ * byte-for-byte across repeat runs. recommendMask breaks score ties
  * toward the lexicographically smaller mask key, keeping the advice
  * deterministic too.
  */

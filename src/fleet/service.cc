@@ -90,8 +90,17 @@ CompileService::hitRate() const
 }
 
 void
-CompileService::admit(Request r)
+CompileService::submit(uint32_t server,
+                       const runtime::CompileJob &job,
+                       uint64_t arrival_cycle, Response done,
+                       uint32_t route_offset)
 {
+    Request r;
+    r.arrival = arrival_cycle;
+    r.server = server;
+    r.routeOffset = route_offset;
+    r.job = job;
+    r.done = std::move(done);
     ++stats_.requests;
     obs::metrics().counter("fleet.service.requests").inc();
     r.seq = seq_++;
@@ -121,48 +130,6 @@ CompileService::admit(Request r)
         }
     }
     pending_.push_back(std::move(r));
-}
-
-void
-CompileService::submit(uint32_t server,
-                       const runtime::CompileJob &job,
-                       uint64_t arrival_cycle, Response done,
-                       uint32_t route_offset)
-{
-    Request r;
-    r.arrival = arrival_cycle;
-    r.server = server;
-    r.routeOffset = route_offset;
-    r.job = job;
-    r.done = std::move(done);
-    if (defer_) {
-        // Worker-thread path: stage only; sequencing, stats and
-        // metrics all happen at flushDeferred() on the coordinator.
-        std::lock_guard<std::mutex> lock(deferMu_);
-        deferred_[server].push_back(std::move(r));
-        return;
-    }
-    admit(std::move(r));
-}
-
-void
-CompileService::setDeferSubmissions(bool on)
-{
-    defer_ = on;
-}
-
-void
-CompileService::flushDeferred()
-{
-    if (defer_)
-        panic("CompileService: flushDeferred() while still "
-              "deferring");
-    std::map<uint32_t, std::vector<Request>> staged;
-    staged.swap(deferred_);
-    for (auto &entry : staged) {
-        for (Request &r : entry.second)
-            admit(std::move(r));
-    }
 }
 
 void
@@ -196,9 +163,6 @@ CompileService::failRequest(Request &r, uint64_t cycle,
 void
 CompileService::advance(uint64_t cycle)
 {
-    if (!deferred_.empty())
-        panic("CompileService: advance() with unflushed deferred "
-              "submissions");
     // Route everything that has reached the service, in strict
     // (arrival, submission) order, preserving per-shard arrival
     // order. Later-arriving requests stay pending.

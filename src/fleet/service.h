@@ -27,8 +27,8 @@
  * (cycle, submission order) order; submissions carry explicit arrival
  * cycles; all responses resolve to explicit ready cycles. Fault
  * decisions are pure functions of the plan's seed and the request's
- * sequence number, so two identical runs — serial or parallel —
- * produce byte-identical metrics and traces.
+ * sequence number, so repeat runs produce byte-identical metrics and
+ * traces.
  */
 
 #ifndef PROTEAN_FLEET_SERVICE_H
@@ -39,7 +39,6 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -206,8 +205,8 @@ class CompileService
      * a refuted variant is discarded and recompiled (bounded
      * attempts), and validation cycles extend the shard backend like
      * compile cycles. The validator must outlive the service; it is
-     * only consulted inside advance() on the coordinator, and its
-     * verdicts are pure, so parallel stepping stays byte-identical.
+     * only consulted inside advance(), and its verdicts are pure, so
+     * repeat runs stay byte-identical.
      */
     void setValidator(const validate::Validator *v);
 
@@ -226,25 +225,6 @@ class CompileService
     void submit(uint32_t server, const runtime::CompileJob &job,
                 uint64_t arrival_cycle, Response done,
                 uint32_t route_offset = 0);
-
-    /**
-     * Enter/leave deferred-submission mode (parallel fleet
-     * stepping). While on, submit() only appends to a per-server
-     * staging buffer under an internal lock — no stats, metrics or
-     * ordering decisions are made — so machines on worker threads may
-     * submit concurrently. flushDeferred() replays the buffers.
-     */
-    void setDeferSubmissions(bool on);
-
-    /**
-     * Replay deferred submissions through the normal submit path, in
-     * ascending server order (submission order within one server is
-     * preserved). When server ids follow the coordinator's machine
-     * stepping order — as fleet::FleetSim guarantees — the resulting
-     * sequence numbering is identical to a serial quantum, making
-     * parallel runs byte-identical to serial ones.
-     */
-    void flushDeferred();
 
     /** Resolve all work arriving/completing at or before cycle. */
     void advance(uint64_t cycle);
@@ -354,14 +334,7 @@ class CompileService
     /** Compile attempts per key before the gate gives up and fails
      *  the waiters (clients retry or fall back locally). */
     static constexpr uint32_t kMaxCompileAttempts = 4;
-    /** Deferred-submission staging (parallel quanta). */
-    bool defer_ = false;
-    std::mutex deferMu_;
-    std::map<uint32_t, std::vector<Request>> deferred_;
 
-    /** Seq assignment + fault (drop/delay) application; shared by
-     *  submit() and flushDeferred(). */
-    void admit(Request r);
     void advanceShard(uint32_t s, uint64_t cycle);
     /** Move keys completing at or before cycle into the cache and
      *  answer their waiters. */

@@ -92,7 +92,7 @@ TelemetryHub::onBarrier(uint64_t cycle)
 {
     // Windows close at the first barrier at or past each boundary;
     // the barrier cycle becomes the window's recorded end, so window
-    // edges are identical serial vs. parallel (barriers are).
+    // edges are identical across repeat runs (barriers are).
     while (cycle >= windowStart_ + cfg_.windowCycles)
         closeWindow(cycle);
 }

@@ -21,10 +21,10 @@
  * declarative SLOs (`flip_p99 < N`, `crashes == 0`, ...) raise
  * multi-window burn-rate alerts while the simulation runs.
  *
- * Determinism: the hub only runs on the coordinator thread at
- * barriers, reading state that machines last touched inside their
- * own quanta; serial and parallel fleet runs therefore produce
- * byte-identical telemetry JSON.
+ * Determinism: the hub only runs at barriers, reading state that
+ * machines last touched inside their own quanta; fleet runs
+ * therefore produce byte-identical telemetry JSON across repeat
+ * runs.
  */
 
 #ifndef PROTEAN_FLEET_TELEMETRY_H
@@ -183,7 +183,7 @@ class TelemetryHub
     const obs::SloMonitor &slo() const { return slo_; }
 
     /** Barrier callback: closes every window boundary crossed by
-     *  `cycle` (coordinator thread only). */
+     *  `cycle`. */
     void onBarrier(uint64_t cycle);
 
     /** Close the current partial window, if it saw any cycles. Call

@@ -74,59 +74,9 @@ hdrJson(const HdrHistogram &h)
 
 } // namespace detail
 
-void
-Histogram::observe(double x)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    hdr_.observe(x);
-}
-
-uint64_t
-Histogram::total() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hdr_.total();
-}
-
-double
-Histogram::sum() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<double>(hdr_.sum());
-}
-
-uint64_t
-Histogram::quantile(double q) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hdr_.quantile(q);
-}
-
-uint64_t
-Histogram::minValue() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hdr_.minValue();
-}
-
-uint64_t
-Histogram::maxValue() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hdr_.maxValue();
-}
-
-HdrHistogram
-Histogram::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hdr_;
-}
-
 Counter &
 MetricsRegistry::counter(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     auto &slot = counters_[name];
     if (!slot)
         slot = std::make_unique<Counter>();
@@ -136,35 +86,19 @@ MetricsRegistry::counter(const std::string &name)
 Gauge &
 MetricsRegistry::gauge(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     auto &slot = gauges_[name];
     if (!slot)
         slot = std::make_unique<Gauge>();
     return *slot;
 }
 
-Histogram &
+HdrHistogram &
 MetricsRegistry::histogram(const std::string &name)
 {
-    std::lock_guard<std::mutex> lock(mu_);
     auto &slot = histograms_[name];
     if (!slot)
-        slot = std::make_unique<Histogram>();
+        slot = std::make_unique<HdrHistogram>();
     return *slot;
-}
-
-void
-MetricsRegistry::setHostScoped(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    hostScoped_.insert(name);
-}
-
-bool
-MetricsRegistry::isHostScoped(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hostScoped_.count(name) != 0;
 }
 
 std::string
@@ -173,18 +107,9 @@ MetricsRegistry::toJson() const
     using detail::jsonEscape;
     using detail::jsonNumber;
 
-    std::lock_guard<std::mutex> lock(mu_);
-    // Host-scoped metrics describe the execution host, not the run;
-    // leaving them out keeps snapshots byte-identical across hosts
-    // and serial/parallel modes.
-    auto skip = [this](const std::string &name) {
-        return hostScoped_.count(name) != 0;
-    };
     std::string out = "{\n  \"counters\": {";
     bool first = true;
     for (const auto &[name, c] : counters_) {
-        if (skip(name))
-            continue;
         out += strformat("%s\n    \"%s\": %llu", first ? "" : ",",
                          jsonEscape(name).c_str(),
                          static_cast<unsigned long long>(c->value()));
@@ -195,8 +120,6 @@ MetricsRegistry::toJson() const
     out += "  \"gauges\": {";
     first = true;
     for (const auto &[name, g] : gauges_) {
-        if (skip(name))
-            continue;
         out += strformat("%s\n    \"%s\": %s", first ? "" : ",",
                          jsonEscape(name).c_str(),
                          jsonNumber(g->value()).c_str());
@@ -207,11 +130,9 @@ MetricsRegistry::toJson() const
     out += "  \"histograms\": {";
     first = true;
     for (const auto &[name, h] : histograms_) {
-        if (skip(name))
-            continue;
         out += strformat("%s\n    \"%s\": %s", first ? "" : ",",
                          jsonEscape(name).c_str(),
-                         detail::hdrJson(h->snapshot()).c_str());
+                         detail::hdrJson(*h).c_str());
         first = false;
     }
     out += first ? "}\n" : "\n  }\n";
@@ -234,11 +155,9 @@ MetricsRegistry::writeJson(const std::string &path) const
 void
 MetricsRegistry::reset()
 {
-    std::lock_guard<std::mutex> lock(mu_);
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
-    hostScoped_.clear();
 }
 
 MetricsRegistry &

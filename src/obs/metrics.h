@@ -16,91 +16,40 @@
 #ifndef PROTEAN_OBS_METRICS_H
 #define PROTEAN_OBS_METRICS_H
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "obs/hdr.h"
 
 namespace protean {
 namespace obs {
 
-/**
- * Monotonic counter. Increments are relaxed atomics so machine
- * callbacks running on a parallel fleet's worker threads (see
- * fleet::Cluster::setParallel) can instrument concurrently; sums are
- * order-independent, keeping exports byte-identical to serial runs.
- */
+/** Monotonic counter. */
 class Counter
 {
   public:
-    void inc(uint64_t n = 1)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-    uint64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
+    void inc(uint64_t n = 1) { value_ += n; }
+    uint64_t value() const { return value_; }
 
   private:
-    std::atomic<uint64_t> value_{0};
+    uint64_t value_ = 0;
 };
 
-/** Last-value gauge. Writes race-free but last-write-wins; parallel
- *  fleet phases must not set the same gauge from two machines (the
- *  instrumented paths only set gauges from the coordinator). */
+/** Last-value gauge. */
 class Gauge
 {
   public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    double value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
+    void set(double v) { value_ = v; }
+    double value() const { return value_; }
 
   private:
-    std::atomic<double> value_{0.0};
+    double value_ = 0.0;
 };
 
-/** HDR log-bucketed histogram (obs/hdr.h) behind a lock: values
- *  below 64 record exactly, larger ones with <=1/32 relative error,
- *  across the full 64-bit range with no per-metric bucket
- *  configuration. observe() is internally locked; bucket counts and
- *  integer sums are order-independent, so parallel observation keeps
- *  exports deterministic. */
-class Histogram
-{
-  public:
-    Histogram() = default;
-
-    void observe(double x);
-
-    uint64_t total() const;
-    /** Sum of recorded (rounded-to-integer) observations. */
-    double sum() const;
-    /** Deterministic quantile: upper bucket edge at rank
-     *  ceil(q * total); 0 when empty (see HdrHistogram::quantile). */
-    uint64_t quantile(double q) const;
-    uint64_t minValue() const;
-    uint64_t maxValue() const;
-
-    /** Copy of the underlying state (merging, deltas, exports). */
-    HdrHistogram snapshot() const;
-
-  private:
-    HdrHistogram hdr_;
-    mutable std::mutex mu_;
-};
-
-/** Named metrics, hierarchically dotted, exported with stable keys.
- *  Find-or-create is internally locked, so instrumentation may run
- *  from fleet worker threads; handles stay valid until reset(). */
+/** Named metrics, hierarchically dotted, exported with stable keys;
+ *  handles stay valid until reset(). */
 class MetricsRegistry
 {
   public:
@@ -108,23 +57,12 @@ class MetricsRegistry
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
 
-    /** Find-or-create; HDR layout needs no per-metric bounds. */
-    Histogram &histogram(const std::string &name);
+    /** Find-or-create an HDR log-bucketed histogram (obs/hdr.h):
+     *  values below 64 record exactly, larger ones with <=1/32
+     *  relative error, with no per-metric bucket configuration. */
+    HdrHistogram &histogram(const std::string &name);
 
-    /**
-     * Mark a metric name host-scoped: it describes the machine the
-     * simulation happens to run on (clamped worker pools, hardware
-     * thread counts), not the simulation itself, so it legitimately
-     * differs across hosts and serial/parallel modes. Host-scoped
-     * metrics stay queryable through their handles but are excluded
-     * from toJson()/writeJson() — deterministic exports must be
-     * byte-identical wherever a run executes.
-     */
-    void setHostScoped(const std::string &name);
-    bool isHostScoped(const std::string &name) const;
-
-    /** Snapshot as a JSON object with sorted keys (host-scoped
-     *  metrics omitted; see setHostScoped). */
+    /** Snapshot as a JSON object with sorted keys. */
     std::string toJson() const;
 
     /** Write the snapshot; fatal on I/O failure. */
@@ -137,16 +75,13 @@ class MetricsRegistry
 
     size_t size() const
     {
-        std::lock_guard<std::mutex> lock(mu_);
         return counters_.size() + gauges_.size() + histograms_.size();
     }
 
   private:
-    mutable std::mutex mu_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-    std::set<std::string> hostScoped_;
+    std::map<std::string, std::unique_ptr<HdrHistogram>> histograms_;
 };
 
 /** The process-wide registry used by all instrumentation. */

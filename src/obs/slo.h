@@ -18,8 +18,8 @@
  *
  * Everything is counting on integer window verdicts, so alert
  * sequences are exact-deterministic: the same telemetry stream raises
- * byte-identical alert logs on every platform and regardless of
- * serial vs. parallel fleet stepping.
+ * byte-identical alert logs on every platform and across repeat
+ * runs.
  */
 
 #ifndef PROTEAN_OBS_SLO_H

@@ -22,7 +22,7 @@
  *
  * Everything here runs inside the owning machine's own quanta (tick
  * events and compile callbacks), touching only this server's state,
- * so fleet runs stay byte-identical serial or parallel; the
+ * so fleet runs stay byte-identical across repeat runs; the
  * telemetry hub drains the profile and ledger at cluster barriers.
  */
 

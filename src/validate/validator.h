@@ -43,7 +43,7 @@
  *
  * Verdicts are pure functions of (job, injected spec, config), so
  * the service may validate at install time inside advance() without
- * breaking serial-vs-parallel byte identity. Cycle costs are modeled
+ * breaking byte identity across repeat runs. Cycle costs are modeled
  * from instruction and step counts and charged to the shard backend
  * like compile cycles.
  */

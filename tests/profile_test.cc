@@ -4,8 +4,7 @@
  * algebra and stable exports, per-server VariantProfiler attribution
  * (variant masks + phase ids) and flip ledger, the fleet
  * VariantScoreboard's winner selection, and byte-identical profile /
- * flamegraph / scoreboard exports across repeats and
- * serial-vs-parallel fleet stepping.
+ * flamegraph / scoreboard exports across repeat runs.
  */
 
 #include <gtest/gtest.h>
@@ -230,12 +229,11 @@ class FleetProfileTest : public ::testing::Test
 };
 
 fleet::FleetConfig
-profiledConfig(uint32_t workers = 1)
+profiledConfig()
 {
     fleet::FleetConfig cfg;
     cfg.numServers = 3;
     cfg.meanRequestMs = 1.0;
-    cfg.parallelWorkers = workers;
     cfg.telemetry.enabled = true;
     cfg.telemetry.profiling = true;
     return cfg;
@@ -327,9 +325,9 @@ TEST_F(FleetProfileTest, ScrapePaysForProfilePayloadBytes)
 
 TEST_F(FleetProfileTest, ExportsByteIdenticalSerialVsParallel4)
 {
-    auto runOnce = [](uint32_t workers) {
+    auto runOnce = []() {
         obs::metrics().reset();
-        fleet::FleetSim sim(profiledConfig(workers));
+        fleet::FleetSim sim(profiledConfig());
         sim.run(40.0);
         sim.flushTelemetry();
         const fleet::TelemetryHub &hub = *sim.telemetry();
@@ -337,12 +335,11 @@ TEST_F(FleetProfileTest, ExportsByteIdenticalSerialVsParallel4)
             hub.fleetProfile().folded() + "\n---\n" +
             hub.scoreboard().toJson() + "\n---\n" + hub.toJson();
     };
-    std::string serial = runOnce(1);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, runOnce(1)); // repeatable
-    EXPECT_EQ(serial, runOnce(4)); // parallel stepping identical
-    EXPECT_NE(serial.find("\"profile\""), std::string::npos);
-    EXPECT_NE(serial.find("\"scoreboard\""), std::string::npos);
+    std::string first = runOnce();
+    EXPECT_FALSE(first.empty());
+    EXPECT_EQ(first, runOnce()); // repeatable
+    EXPECT_NE(first.find("\"profile\""), std::string::npos);
+    EXPECT_NE(first.find("\"scoreboard\""), std::string::npos);
 }
 
 } // namespace
