@@ -19,103 +19,14 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
     if (!std::has_single_bit(sets_))
         fatal("cache %s: set count %u is not a power of two",
               name_.c_str(), sets_);
-    if (!std::has_single_bit(lineBytes_))
-        fatal("cache %s: line size %u is not a power of two",
+    // A line of at least 2 bytes keeps every line address below
+    // kNoTag.
+    if (!std::has_single_bit(lineBytes_) || lineBytes_ < 2)
+        fatal("cache %s: line size %u is not a power of two >= 2",
               name_.c_str(), lineBytes_);
     indexShift_ = static_cast<uint32_t>(std::countr_zero(lineBytes_));
-    lines_.resize(static_cast<size_t>(sets_) * ways_);
-    mruWay_.resize(sets_, 0);
-}
-
-uint64_t
-Cache::lineAddr(uint64_t addr) const
-{
-    return addr >> indexShift_;
-}
-
-uint32_t
-Cache::setIndex(uint64_t line_addr) const
-{
-    return static_cast<uint32_t>(line_addr & (sets_ - 1));
-}
-
-Cache::Line *
-Cache::findLine(uint64_t line_addr)
-{
-    uint32_t si = setIndex(line_addr);
-    Line *set = &lines_[static_cast<size_t>(si) * ways_];
-    // MRU-way fast path: repeated touches to a hot line skip the
-    // associative scan entirely.
-    uint32_t m = mruWay_[si];
-    if (set[m].valid && set[m].tag == line_addr)
-        return &set[m];
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == line_addr) {
-            mruWay_[si] = w;
-            return &set[w];
-        }
-    }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(uint64_t line_addr) const
-{
-    const Line *set =
-        &lines_[static_cast<size_t>(setIndex(line_addr)) * ways_];
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == line_addr)
-            return &set[w];
-    }
-    return nullptr;
-}
-
-bool
-Cache::access(uint64_t addr)
-{
-    ++stats_.accesses;
-    Line *line = findLine(lineAddr(addr));
-    if (line) {
-        line->lastUse = useCounter_++;
-        return true;
-    }
-    ++stats_.misses;
-    return false;
-}
-
-void
-Cache::fill(uint64_t addr, bool nonTemporal)
-{
-    uint64_t la = lineAddr(addr);
-    if (findLine(la))
-        return; // already resident (e.g. racing fills)
-    Line *set = &lines_[static_cast<size_t>(setIndex(la)) * ways_];
-    Line *victim = &set[0];
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lastUse < victim->lastUse)
-            victim = &set[w];
-    }
-    victim->valid = true;
-    victim->tag = la;
-    mruWay_[setIndex(la)] = static_cast<uint32_t>(victim - set);
-    if (nonTemporal) {
-        // LRU-position insertion: next fill in this set evicts it
-        // unless it is re-referenced first.
-        victim->lastUse = 0;
-        ++stats_.ntFills;
-    } else {
-        victim->lastUse = useCounter_++;
-    }
-}
-
-bool
-Cache::contains(uint64_t addr) const
-{
-    return findLine(lineAddr(addr)) != nullptr;
+    tags_.assign(static_cast<size_t>(sets_) * ways_, kNoTag);
+    stamps_.assign(tags_.size(), 0);
 }
 
 uint64_t
@@ -124,8 +35,8 @@ Cache::linesOwnedBy(uint64_t owner_base, uint64_t owner_span) const
     uint64_t lo = lineAddr(owner_base);
     uint64_t hi = lineAddr(owner_base + owner_span - 1);
     uint64_t n = 0;
-    for (const auto &line : lines_) {
-        if (line.valid && line.tag >= lo && line.tag <= hi)
+    for (uint64_t tag : tags_) {
+        if (tag != kNoTag && tag >= lo && tag <= hi)
             ++n;
     }
     return n;

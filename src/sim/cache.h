@@ -36,39 +36,106 @@ struct CacheStats
     }
 };
 
-/** One level of set-associative cache with LRU replacement. */
+/**
+ * One level of set-associative cache with LRU replacement.
+ *
+ * Each set is two contiguous arrays of ways: line tags and recency
+ * stamps. An invalid way holds kNoTag, which no line address can
+ * equal, and stamp 0. A non-temporal fill gets stamp 1, and the
+ * recency counter starts at 2. So the victim is simply the first way
+ * with the smallest stamp: the first invalid way, else the first
+ * least-recent one, with NT-inserted lines going first.
+ */
 class Cache
 {
   public:
+    /** One pass over a set: the way that hit, or the way a fill of
+     *  the missed line would evict. */
+    struct Probe
+    {
+        uint32_t slot; ///< set * ways + way
+        bool hit;
+    };
+
     /**
      * @param name Stats label.
      * @param cfg Geometry; sizeBytes must be divisible by
-     *            ways * lineBytes and the set count must be a power
-     *            of two.
+     *            ways * lineBytes, and the set count and line size
+     *            (at least 2) must be powers of two.
      */
     Cache(std::string name, const CacheConfig &cfg);
 
-    /**
-     * Look up a line; updates recency on hit.
-     * @return true on hit.
-     */
-    bool access(uint64_t addr);
+    /** Probe, counting the access (and the miss); a hit becomes the
+     *  set's most recent way. */
+    Probe
+    lookup(uint64_t addr)
+    {
+        ++stats_.accesses;
+        Probe p = peek(addr);
+        if (p.hit)
+            stamps_[p.slot] = useCounter_++;
+        else
+            ++stats_.misses;
+        return p;
+    }
+
+    /** Probe without updating recency or stats. */
+    Probe
+    peek(uint64_t addr) const
+    {
+        uint64_t la = lineAddr(addr);
+        uint32_t base = static_cast<uint32_t>(la & (sets_ - 1)) * ways_;
+        const uint64_t *tags = &tags_[base];
+        const uint64_t *stamps = &stamps_[base];
+        uint32_t victim = 0;
+        uint64_t oldest = stamps[0];
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (tags[w] == la)
+                return {base + w, true};
+            if (stamps[w] < oldest) {
+                oldest = stamps[w];
+                victim = w;
+            }
+        }
+        return {base + victim, false};
+    }
 
     /**
-     * Install a line after a miss.
-     * @param nonTemporal Insert with the non-temporal policy.
+     * Install a line into the victim slot of a missed probe. Nothing
+     * may touch this cache between that probe and the install.
+     * @param nonTemporal Insert at the LRU position.
      */
-    void fill(uint64_t addr, bool nonTemporal);
+    void
+    install(Probe p, uint64_t addr, bool nonTemporal)
+    {
+        tags_[p.slot] = lineAddr(addr);
+        if (nonTemporal) {
+            stamps_[p.slot] = kNtStamp;
+            ++stats_.ntFills;
+        } else {
+            stamps_[p.slot] = useCounter_++;
+        }
+    }
 
-    /** Probe without updating recency or stats (tests/occupancy). */
-    bool contains(uint64_t addr) const;
+    /** lookup(), reduced to whether it hit. */
+    bool access(uint64_t addr) { return lookup(addr).hit; }
+
+    /** Install a line unless it is already resident. */
+    void
+    fill(uint64_t addr, bool nonTemporal)
+    {
+        Probe p = peek(addr);
+        if (!p.hit)
+            install(p, addr, nonTemporal);
+    }
+
+    bool contains(uint64_t addr) const { return peek(addr).hit; }
 
     /** Number of resident lines whose address tag matches the given
      *  owner id in the upper address bits (occupancy accounting). */
     uint64_t linesOwnedBy(uint64_t owner_base, uint64_t owner_span) const;
 
     const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CacheStats{}; }
 
     const std::string &name() const { return name_; }
     uint32_t numSets() const { return sets_; }
@@ -76,31 +143,20 @@ class Cache
     uint32_t lineBytes() const { return lineBytes_; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    static constexpr uint64_t kNoTag = ~0ULL;
+    static constexpr uint64_t kNtStamp = 1;
 
     std::string name_;
     uint32_t sets_;
     uint32_t ways_;
     uint32_t lineBytes_;
     uint32_t indexShift_;
-    uint64_t useCounter_ = 1;
-    std::vector<Line> lines_; // sets_ * ways_, set-major
-    /** Per-set way of the last hit/fill: a pure lookup shortcut —
-     *  temporal locality makes the next access to a set usually hit
-     *  the same way, skipping the associative scan. Never consulted
-     *  for replacement, so recency semantics are untouched. */
-    std::vector<uint32_t> mruWay_;
+    uint64_t useCounter_ = kNtStamp + 1;
+    std::vector<uint64_t> tags_;   // sets_ * ways_, set-major
+    std::vector<uint64_t> stamps_; // parallel to tags_
     CacheStats stats_;
 
-    uint64_t lineAddr(uint64_t addr) const;
-    uint32_t setIndex(uint64_t line_addr) const;
-    Line *findLine(uint64_t line_addr);
-    const Line *findLine(uint64_t line_addr) const;
+    uint64_t lineAddr(uint64_t addr) const { return addr >> indexShift_; }
 };
 
 } // namespace sim

@@ -49,27 +49,34 @@ MemorySystem::access(uint32_t core, uint64_t addr, bool nonTemporal,
 
     noteAccess(core, addr);
 
+    // Each level is probed once. A missed probe already names the
+    // way its fill evicts, and no level is touched again between its
+    // probe and its install below.
+    Cache &l1 = *l1_[core];
+    Cache &l2 = *l2_[core];
     AccessResult res;
     res.latency = cfg_.l1.latency;
-    if (l1_[core]->access(addr)) {
+    Cache::Probe p1 = l1.lookup(addr);
+    if (p1.hit) {
         res.l1Hit = true;
         return res;
     }
     ++hpm.l1Misses;
 
     res.latency += cfg_.l2.latency;
-    if (l2_[core]->access(addr)) {
+    Cache::Probe p2 = l2.lookup(addr);
+    if (p2.hit) {
         res.l2Hit = true;
         // L1 always fills normally: the hint targets shared levels.
-        l1_[core]->fill(addr, false);
+        l1.install(p1, addr, false);
         return res;
     }
     ++hpm.l2Misses;
 
     res.latency += cfg_.l3.latency;
     ++hpm.l3Accesses;
-    bool l3_hit = l3_->access(addr);
-    if (!l3_hit) {
+    Cache::Probe p3 = l3_->lookup(addr);
+    if (!p3.hit) {
         ++hpm.l3Misses;
         ++hpm.dramAccesses;
         ++dramAccesses_;
@@ -84,13 +91,13 @@ MemorySystem::access(uint32_t core, uint64_t addr, bool nonTemporal,
 
     bool nt = nonTemporal;
     bool bypass = nt && cfg_.ntPolicy == NtPolicy::Bypass;
-    if (!l3_hit && !bypass)
-        l3_->fill(addr, nt);
+    if (!p3.hit && !bypass)
+        l3_->install(p3, addr, nt);
     if (!bypass)
-        l2_[core]->fill(addr, nt);
-    l1_[core]->fill(addr, false);
+        l2.install(p2, addr, nt);
+    l1.install(p1, addr, false);
 
-    if (!l3_hit && streaming(core))
+    if (!p3.hit && streaming(core))
         prefetch(core, addr, nt);
     return res;
 }
@@ -106,27 +113,21 @@ MemorySystem::prefetch(uint32_t core, uint64_t addr, bool nonTemporal)
     // prefetch, so none is issued (and no bandwidth is spent).
     if (nonTemporal && cfg_.ntPolicy == NtPolicy::Bypass)
         return;
+    Cache &l2 = *l2_[core];
     for (uint32_t i = 1; i <= cfg_.prefetchDegree; ++i) {
         uint64_t target = addr + static_cast<uint64_t>(i) * line;
-        if (l2_[core]->contains(target) || l3_->contains(target))
+        Cache::Probe p2 = l2.peek(target);
+        if (p2.hit)
+            continue;
+        Cache::Probe p3 = l3_->peek(target);
+        if (p3.hit)
             continue;
         dramNextFree_ += cfg_.dramOccupancy;
         ++dramAccesses_;
-        l3_->fill(target, nonTemporal);
-        l2_[core]->fill(target, nonTemporal);
+        l3_->install(p3, target, nonTemporal);
+        l2.install(p2, target, nonTemporal);
         ++prefetches_;
     }
-}
-
-void
-MemorySystem::resetStats()
-{
-    for (auto &c : l1_)
-        c->resetStats();
-    for (auto &c : l2_)
-        c->resetStats();
-    l3_->resetStats();
-    dramAccesses_ = 0;
 }
 
 } // namespace sim

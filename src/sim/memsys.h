@@ -63,8 +63,6 @@ class MemorySystem
     /** Prefetch fills issued so far. */
     uint64_t prefetches() const { return prefetches_; }
 
-    void resetStats();
-
   private:
     MachineConfig cfg_;
     std::vector<std::unique_ptr<Cache>> l1_;

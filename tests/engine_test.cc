@@ -511,10 +511,10 @@ TEST_F(EngineTest, DefaultEngineSelectsNewMachines)
     EXPECT_EQ(a.engine(), Engine::Step); // existing machines keep theirs
 }
 
-TEST(Cache, MruHintStaleStillHits)
+TEST(Cache, AlternatingWaysInOneSetAllHit)
 {
-    // Alternating ways in one set keeps the MRU hint stale half the
-    // time; the fallback scan must still find every line.
+    // Alternating between the two ways of one set: every probe must
+    // find its line, whichever way it sits in.
     CacheConfig cfg;
     cfg.sizeBytes = 256;
     cfg.ways = 2;
@@ -529,11 +529,11 @@ TEST(Cache, MruHintStaleStillHits)
     EXPECT_EQ(c.stats().misses, 0u);
 }
 
-TEST(Cache, MruHintNeverAffectsReplacement)
+TEST(Cache, RepeatedHitsDoNotOutrankALaterTouch)
 {
     // Recency is decided by access order alone: hammering one way
-    // (parking the hint there) must not save it from LRU eviction
-    // once the other way is touched more recently.
+    // must not save it from LRU eviction once the other way is
+    // touched more recently.
     CacheConfig cfg;
     cfg.sizeBytes = 256;
     cfg.ways = 2;
@@ -542,9 +542,9 @@ TEST(Cache, MruHintNeverAffectsReplacement)
     c.fill(0, false);
     c.fill(128, false);
     for (int i = 0; i < 10; ++i)
-        c.access(0); // hint parks on 0's way
-    c.access(128);   // ...but 0 is now LRU
-    c.access(0);     // 128 LRU again
+        c.access(0);
+    c.access(128); // 0 is now LRU
+    c.access(0);   // 128 LRU again
     c.fill(256, false);
     EXPECT_TRUE(c.contains(0));
     EXPECT_FALSE(c.contains(128));
@@ -560,7 +560,7 @@ namespace {
 /** Cluster determinism: stats and metric exports must be
  *  byte-identical across repeat runs, and the tracer must only
  *  observe. */
-class ParallelFleetTest : public ::testing::Test
+class FleetDeterminismTest : public ::testing::Test
 {
   protected:
     void
@@ -622,7 +622,7 @@ expectStatsEq(const FleetStats &a, const FleetStats &b)
     EXPECT_EQ(a.service.bytesOut, b.service.bytesOut);
 }
 
-TEST_F(ParallelFleetTest, SerialVsParallelByteIdentical)
+TEST_F(FleetDeterminismTest, RepeatRunsByteIdentical)
 {
     // Repeat runs at every fleet size the benches use agree byte for
     // byte: stats and the whole metrics export.
@@ -635,7 +635,7 @@ TEST_F(ParallelFleetTest, SerialVsParallelByteIdentical)
     }
 }
 
-TEST_F(ParallelFleetTest, TracerForcesSerialPathStaysIdentical)
+TEST_F(FleetDeterminismTest, TracerOnlyObserves)
 {
     // Arming the tracer must not perturb the simulation: a traced
     // run simulates exactly what an untraced one does.

@@ -406,26 +406,26 @@ runHotloopFleet()
     return sim.stats();
 }
 
-TEST(OsrFleet, SerialVsParallelIdentical)
+TEST(OsrFleet, RepeatRunsIdentical)
 {
-    fleet::FleetStats serial = runHotloopFleet();
-    fleet::FleetStats par = runHotloopFleet();
+    fleet::FleetStats first = runHotloopFleet();
+    fleet::FleetStats again = runHotloopFleet();
     // The scenario exercises the OSR path.
-    EXPECT_GT(serial.osrFlips, 0u);
-    EXPECT_EQ(serial.entryFlips, 0u);
+    EXPECT_GT(first.osrFlips, 0u);
+    EXPECT_EQ(first.entryFlips, 0u);
     // Identical observable state on a repeat run.
-    EXPECT_EQ(serial.deployRequests, par.deployRequests);
-    EXPECT_EQ(serial.hostBranches, par.hostBranches);
-    EXPECT_EQ(serial.entryFlips, par.entryFlips);
-    EXPECT_EQ(serial.osrFlips, par.osrFlips);
-    EXPECT_EQ(serial.pendingFlips, par.pendingFlips);
-    EXPECT_EQ(serial.worstEntryFlip, par.worstEntryFlip);
-    EXPECT_EQ(serial.worstOsrFlip, par.worstOsrFlip);
-    EXPECT_EQ(serial.worstPendingFlip, par.worstPendingFlip);
-    EXPECT_EQ(serial.osrRedirects, par.osrRedirects);
-    EXPECT_EQ(serial.osrPatches, par.osrPatches);
-    EXPECT_EQ(serial.service.compiles, par.service.compiles);
-    EXPECT_EQ(serial.service.requests, par.service.requests);
+    EXPECT_EQ(first.deployRequests, again.deployRequests);
+    EXPECT_EQ(first.hostBranches, again.hostBranches);
+    EXPECT_EQ(first.entryFlips, again.entryFlips);
+    EXPECT_EQ(first.osrFlips, again.osrFlips);
+    EXPECT_EQ(first.pendingFlips, again.pendingFlips);
+    EXPECT_EQ(first.worstEntryFlip, again.worstEntryFlip);
+    EXPECT_EQ(first.worstOsrFlip, again.worstOsrFlip);
+    EXPECT_EQ(first.worstPendingFlip, again.worstPendingFlip);
+    EXPECT_EQ(first.osrRedirects, again.osrRedirects);
+    EXPECT_EQ(first.osrPatches, again.osrPatches);
+    EXPECT_EQ(first.service.compiles, again.service.compiles);
+    EXPECT_EQ(first.service.requests, again.service.requests);
 }
 
 } // namespace

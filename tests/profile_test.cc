@@ -323,7 +323,7 @@ TEST_F(FleetProfileTest, ScrapePaysForProfilePayloadBytes)
     EXPECT_GT(scrapeBytes(with), scrapeBytes(without));
 }
 
-TEST_F(FleetProfileTest, ExportsByteIdenticalSerialVsParallel4)
+TEST_F(FleetProfileTest, ExportsByteIdenticalAcrossRepeatRuns)
 {
     auto runOnce = []() {
         obs::metrics().reset();

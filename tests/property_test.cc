@@ -191,6 +191,135 @@ TEST_P(CacheProperties, HitAfterFillUntilCapacityPressure)
     EXPECT_EQ(resident, cfg.ways);
 }
 
+/** The replacement rule written out plainly, with a valid flag: the
+ *  victim is the first invalid way, else the first least-recent one,
+ *  and a non-temporal fill is inserted at the LRU position. */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(uint32_t sets, uint32_t ways)
+        : sets_(sets), ways_(ways), lines_(sets * ways)
+    {}
+
+    bool
+    access(uint64_t addr)
+    {
+        ++stats.accesses;
+        Line &l = lines_[slot(addr)];
+        if (resident(l, addr)) {
+            l.lastUse = clock_++;
+            return true;
+        }
+        ++stats.misses;
+        return false;
+    }
+
+    void
+    fill(uint64_t addr, bool nt)
+    {
+        Line &l = lines_[slot(addr)];
+        if (resident(l, addr))
+            return;
+        l = Line{addr / 64, nt ? 0 : clock_++, true};
+        stats.ntFills += nt;
+    }
+
+    bool
+    contains(uint64_t addr) const
+    {
+        return resident(lines_[slot(addr)], addr);
+    }
+
+    /** set * ways + the way holding addr's line, else the way its
+     *  fill evicts. */
+    uint32_t
+    slot(uint64_t addr) const
+    {
+        uint64_t la = addr / 64;
+        uint32_t base = static_cast<uint32_t>(la % sets_) * ways_;
+        const Line *set = &lines_[base];
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].tag == la)
+                return base + w;
+        }
+        uint32_t victim = 0;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (!set[w].valid)
+                return base + w;
+            if (set[w].lastUse < set[victim].lastUse)
+                victim = w;
+        }
+        return base + victim;
+    }
+
+    sim::CacheStats stats;
+
+  private:
+    struct Line
+    {
+        uint64_t tag = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    uint32_t sets_;
+    uint32_t ways_;
+    uint64_t clock_ = 1;
+    std::vector<Line> lines_;
+
+    static bool
+    resident(const Line &l, uint64_t addr)
+    {
+        return l.valid && l.tag == addr / 64;
+    }
+};
+
+TEST_P(CacheProperties, MatchesReferenceReplacement)
+{
+    sim::CacheConfig cfg;
+    cfg.sizeBytes = GetParam().size;
+    cfg.ways = GetParam().ways;
+    cfg.lineBytes = 64;
+    // Lines drawn from four times the capacity, half of them from a
+    // hot eighth, so hits, evictions and NT inserts all recur.
+    uint64_t lines = 4 * cfg.sizeBytes / 64;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        sim::Cache cache("prop", cfg);
+        ReferenceCache ref(cfg.sizeBytes / (cfg.ways * 64), cfg.ways);
+        Rng rng(seed * 1000 + cfg.ways);
+        std::set<uint64_t> touched;
+        for (int i = 0; i < 20000; ++i) {
+            uint64_t line = rng.nextBelow(
+                rng.nextBool(0.5) ? lines / 8 : lines);
+            uint64_t addr = line * 64 + rng.nextBelow(64);
+            bool nt = rng.nextBool(0.3);
+            touched.insert(line);
+            // The probe names the reference's way: the hit way, or
+            // the first invalid, else first least-recent, victim.
+            ASSERT_EQ(cache.peek(addr).slot, ref.slot(addr)) << "op " << i;
+            if (rng.nextBelow(4) == 0) {
+                ASSERT_EQ(cache.contains(addr), ref.contains(addr))
+                    << "op " << i;
+                continue;
+            }
+            bool hit = cache.access(addr);
+            ASSERT_EQ(hit, ref.access(addr)) << "op " << i;
+            if (!hit) {
+                cache.fill(addr, nt);
+                ref.fill(addr, nt);
+            }
+        }
+        EXPECT_EQ(cache.stats().accesses, ref.stats.accesses);
+        EXPECT_EQ(cache.stats().misses, ref.stats.misses);
+        EXPECT_EQ(cache.stats().ntFills, ref.stats.ntFills);
+        for (uint64_t line : touched) {
+            EXPECT_EQ(cache.contains(line * 64), ref.contains(line * 64))
+                << "line " << line;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheProperties,
     ::testing::Values(CacheGeom{1024, 2}, CacheGeom{4096, 4},

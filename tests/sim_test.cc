@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "ir/builder.h"
 #include "pcc/pcc.h"
 #include "sim/cache.h"
 #include "sim/machine.h"
 #include "sim/memsys.h"
+#include "support/random.h"
 
 namespace protean {
 namespace sim {
@@ -252,6 +256,102 @@ TEST(MemorySystem, NoPrefetchForStridedAccess)
     for (int i = 0; i < 20; ++i)
         ms.access(0, 0x10000 + 320ULL * i, false, 0, hpm);
     EXPECT_EQ(ms.prefetches(), 0u);
+}
+
+/** Every figure a seeded two-core stream leaves in the memory
+ *  system, by name. Sequential runs arm the prefetcher, strided runs
+ *  miss without it, and a hot region per core gives L2 and L3 hits;
+ *  30% of the runs are non-temporal. */
+std::map<std::string, uint64_t>
+seededStreamFigures(NtPolicy policy)
+{
+    MachineConfig cfg;
+    cfg.numCores = 2;
+    cfg.ntPolicy = policy;
+    MemorySystem ms(cfg);
+    HpmCounters hpm;
+    Rng rng(2014);
+    // Each core works in its own window, four times the L3; its
+    // first eighth is the hot region.
+    const uint64_t window = 4ULL * cfg.l3.sizeBytes;
+    uint64_t now = 0;
+    uint64_t latency = 0;
+    for (int run = 0; run < 600; ++run) {
+        uint32_t core = static_cast<uint32_t>(rng.nextBelow(2));
+        bool nt = rng.nextBool(0.3);
+        uint64_t stride = 64; // sequential
+        switch (rng.nextBelow(3)) {
+          case 1:
+            stride = 64 * (2 + rng.nextBelow(8));
+            break;
+          case 2:
+            stride = 8; // several touches per line
+            break;
+        }
+        uint64_t start =
+            rng.nextBelow(rng.nextBool(0.5) ? window / 8 : window);
+        uint64_t len = 4 + rng.nextBelow(36);
+        for (uint64_t i = 0; i < len; ++i) {
+            uint64_t addr = core * window + (start + i * stride) % window;
+            AccessResult r = ms.access(core, addr, nt, now, hpm);
+            latency += r.latency;
+            now += r.latency;
+        }
+    }
+    std::map<std::string, uint64_t> f;
+    auto addCache = [&f](const Cache &c) {
+        f[c.name() + ".accesses"] = c.stats().accesses;
+        f[c.name() + ".misses"] = c.stats().misses;
+        f[c.name() + ".nt_fills"] = c.stats().ntFills;
+    };
+    for (uint32_t c = 0; c < cfg.numCores; ++c) {
+        addCache(ms.l1(c));
+        addCache(ms.l2(c));
+    }
+    addCache(ms.l3());
+    f["latency"] = latency;
+    f["dram_accesses"] = ms.dramAccesses();
+    f["prefetches"] = ms.prefetches();
+    f["l3_lines.core0"] = ms.l3().linesOwnedBy(0, window);
+    f["l3_lines.core1"] = ms.l3().linesOwnedBy(window, window);
+    return f;
+}
+
+// The expected figures were recorded from the memory system as it
+// stood before its caches were laid out as tag and stamp arrays; any
+// change to replacement, prefetch or bypass order moves them.
+TEST(MemorySystem, SeededStreamPinnedUnderLruInsert)
+{
+    std::map<std::string, uint64_t> want = {
+        {"l1.0.accesses", 5591}, {"l1.0.misses", 3940},
+        {"l1.0.nt_fills", 0},    {"l1.1.accesses", 6936},
+        {"l1.1.misses", 4812},   {"l1.1.nt_fills", 0},
+        {"l2.0.accesses", 3940}, {"l2.0.misses", 2803},
+        {"l2.0.nt_fills", 1319}, {"l2.1.accesses", 4812},
+        {"l2.1.misses", 3466},   {"l2.1.nt_fills", 1209},
+        {"l3.accesses", 6269},   {"l3.misses", 4742},
+        {"l3.nt_fills", 2153},   {"latency", 474928},
+        {"dram_accesses", 7412}, {"prefetches", 2670},
+        {"l3_lines.core0", 906}, {"l3_lines.core1", 1142},
+    };
+    EXPECT_EQ(seededStreamFigures(NtPolicy::LruInsert), want);
+}
+
+TEST(MemorySystem, SeededStreamPinnedUnderBypass)
+{
+    std::map<std::string, uint64_t> want = {
+        {"l1.0.accesses", 5591}, {"l1.0.misses", 3940},
+        {"l1.0.nt_fills", 0},    {"l1.1.accesses", 6936},
+        {"l1.1.misses", 4812},   {"l1.1.nt_fills", 0},
+        {"l2.0.accesses", 3940}, {"l2.0.misses", 3058},
+        {"l2.0.nt_fills", 0},    {"l2.1.accesses", 4812},
+        {"l2.1.misses", 3746},   {"l2.1.nt_fills", 0},
+        {"l3.accesses", 6804},   {"l3.misses", 5387},
+        {"l3.nt_fills", 0},      {"latency", 523258},
+        {"dram_accesses", 7288}, {"prefetches", 1901},
+        {"l3_lines.core0", 913}, {"l3_lines.core1", 1135},
+    };
+    EXPECT_EQ(seededStreamFigures(NtPolicy::Bypass), want);
 }
 
 /** Build a tiny infinite-loop program for timing tests. */

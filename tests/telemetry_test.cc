@@ -302,7 +302,7 @@ TEST_F(TelemetryTest, SloAlertRaisesOnInjectedPausesOnly)
 //                    Determinism of the exports                    //
 // ---------------------------------------------------------------- //
 
-TEST_F(TelemetryTest, TelemetryJsonByteIdenticalSerialVsParallel4)
+TEST_F(TelemetryTest, TelemetryJsonByteIdenticalAcrossRepeatRuns)
 {
     auto runOnce = []() {
         obs::metrics().reset();

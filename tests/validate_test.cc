@@ -495,7 +495,7 @@ TEST_F(ValidateTest, MiscompilingFleetInstallsNothingBad)
     EXPECT_GT(st.service.validateRecompiles, 0u);
 }
 
-TEST_F(ValidateTest, FaultedValidatedRunsByteIdenticalSerialParallel)
+TEST_F(ValidateTest, FaultedValidatedRepeatRunsByteIdentical)
 {
     // A faulted, validated fleet run twice: the exports match byte
     // for byte.
