@@ -70,13 +70,23 @@ class Cache
     Probe
     lookup(uint64_t addr)
     {
-        ++stats_.accesses;
         Probe p = peek(addr);
+        commit(p);
+        return p;
+    }
+
+    /**
+     * Count a peeked probe as an access, as lookup() would have. Nothing
+     * may touch this cache between that peek and the commit.
+     */
+    void
+    commit(Probe p)
+    {
+        ++stats_.accesses;
         if (p.hit)
             stamps_[p.slot] = useCounter_++;
         else
             ++stats_.misses;
-        return p;
     }
 
     /** Probe without updating recency or stats. */

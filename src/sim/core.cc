@@ -22,6 +22,8 @@ Core::bind(Process *proc)
     stack_.clear();
     btBlocks_.clear();
     sbCache_.clear();
+    parked_ = false;
+    parkBlock_ = nullptr;
     flipWatches_.clear();
     sbVersion_ = proc ? proc->codeVersion() : 0;
     if (proc_) {
@@ -115,11 +117,10 @@ Core::step()
         return;
     if (!proc_ || proc_->state() != ProcState::Running)
         panic("core %u stepped without runnable work", id_);
-    const MInst &inst = proc_->inst(pc_);
-    execute(inst);
+    execute<false>(proc_->inst(pc_));
 }
 
-const Core::Superblock &
+Core::Superblock &
 Core::fetchSuperblock()
 {
     uint64_t v = proc_->codeVersion();
@@ -147,85 +148,121 @@ Core::fetchSuperblock()
     }
     if (sb.insts.empty())
         proc_->inst(pc_); // canonical wild-pc panic
-    sb.memFence = static_cast<uint32_t>(sb.insts.size());
-    for (uint32_t i = 0; i < sb.insts.size(); ++i) {
-        if (touchesMemsys(sb.insts[i].op)) {
-            sb.memFence = i;
-            break;
+    return sbCache_.emplace(pc_, std::move(sb)).first->second;
+}
+
+Core::Superblock &
+Core::successor(Superblock &from)
+{
+    // A link skips fetchSuperblock's version check: only events patch
+    // code, and none fires inside one run call. (So on a link miss the
+    // check is a no-op, and `from` survives it.)
+    for (const Link &l : from.links) {
+        if (l.pc == pc_) {
+            ++sbStats_.hits;
+            ++sbStats_.linked;
+            return *l.sb;
         }
     }
-    return sbCache_.emplace(pc_, std::move(sb)).first->second;
+    Superblock &to = fetchSuperblock();
+    // Fill the first link, then keep the second for the latest miss.
+    Link &slot = from.links[0].sb ? from.links[1] : from.links[0];
+    slot = Link{pc_, &to};
+    return to;
 }
 
 void
 Core::run(uint64_t horizon)
 {
-    // The hot loop of the batched engine: no scheduler scan, no
-    // event-heap peek — just decoded superblocks until the horizon.
-    // A block's instructions execute from a dense local array, so the
-    // per-instruction work is one bounds-free dispatch. A consumed
-    // throttle may overshoot the horizon, exactly as one step() can.
-    while (cycle_ < horizon) {
-        if (throttleActive_) {
-            // Nap windows are re-checked before every instruction in
-            // the reference engine, so an armed throttle keeps the
-            // core on the per-instruction path.
-            if (consumeThrottles())
-                continue;
-            if (!proc_ || proc_->state() != ProcState::Running)
-                return;
-            execute(proc_->inst(pc_));
-            continue;
-        }
-        if (!proc_ || proc_->state() != ProcState::Running)
-            return;
-        const Superblock &sb = fetchSuperblock();
-        const MInst *insts = sb.insts.data();
-        const size_t n = sb.insts.size();
-        for (size_t i = 0; i < n && cycle_ < horizon; ++i)
-            execute(insts[i]);
-    }
+    dispatch<false>(horizon);
 }
 
 bool
 Core::runFenced(uint64_t horizon)
 {
-    // Superblocks make the fence check cheap: each block records the
-    // index of its first memsys-touching instruction, so proving a
-    // whole block interference-free is one comparison.
+    return dispatch<true>(horizon);
+}
+
+template <bool kFenced>
+bool
+Core::dispatch(uint64_t horizon)
+{
+    // The hot loop of the batched engine: no scheduler scan, no
+    // event-heap peek — just decoded superblocks until the horizon.
+    // A block's instructions execute from a dense local array, so the
+    // per-instruction work is one bounds-free dispatch, and a block
+    // that ran to its end chains to the next without a lookup. A
+    // consumed throttle may overshoot the horizon, exactly as one
+    // step() can. A parked fenced run resumes inside its block.
+    if (!kFenced && parked_)
+        panic("core %u: unfenced run with a parked access", id_);
+    Superblock *sb = parkBlock_;
+    size_t i = parkIndex_;
+    parkBlock_ = nullptr;
+    Superblock *done = nullptr; // the block that last ran to its end
     while (cycle_ < horizon) {
-        if (throttleActive_) {
-            if (consumeThrottles())
+        if (!sb) {
+            if (throttleActive_) {
+                // Nap windows are re-checked before every instruction
+                // in the reference engine, so an armed throttle keeps
+                // the core on the per-instruction path. (A core that
+                // parked here re-checks at the same cycle: no-op.)
+                done = nullptr;
+                if (consumeThrottles())
+                    continue;
+                if (!proc_ || proc_->state() != ProcState::Running)
+                    return false;
+                if (!execute<kFenced>(proc_->inst(pc_)))
+                    return true;
                 continue;
+            }
             if (!proc_ || proc_->state() != ProcState::Running)
                 return false;
-            const MInst &in = proc_->inst(pc_);
-            if (touchesMemsys(in.op))
-                return true;
-            execute(in);
-            continue;
+            sb = done ? &successor(*done) : &fetchSuperblock();
+            i = 0;
         }
-        if (!proc_ || proc_->state() != ProcState::Running)
-            return false;
-        const Superblock &sb = fetchSuperblock();
-        const MInst *insts = sb.insts.data();
-        const size_t fence = sb.memFence;
-        for (size_t i = 0; i < fence && cycle_ < horizon; ++i)
-            execute(insts[i]);
-        if (cycle_ >= horizon)
-            return false;
-        if (fence < sb.insts.size())
-            return true; // parked at a shared-memsys access
+        const MInst *insts = sb->insts.data();
+        const size_t n = sb->insts.size();
+        for (; i < n; ++i) {
+            if (cycle_ >= horizon)
+                return false;
+            if (!execute<kFenced>(insts[i])) {
+                parkBlock_ = sb;
+                parkIndex_ = i;
+                return true;
+            }
+        }
+        done = sb;
+        sb = nullptr;
     }
     return false;
 }
 
-uint64_t
-Core::memAccess(uint64_t vaddr, bool nonTemporal)
+template <bool kFenced>
+bool
+Core::timedAccess(uint64_t vaddr, bool nonTemporal, uint64_t &latency)
 {
-    AccessResult res = memsys_.access(id_, proc_->physAddr(vaddr),
-                                      nonTemporal, cycle_, hpm_);
-    return res.latency;
+    uint64_t addr = proc_->physAddr(vaddr);
+    if constexpr (kFenced) {
+        if (parked_) {
+            // This core's turn in (cycle, id) order: the shared half.
+            parked_ = false;
+            latency = memsys_.accessShared(id_, addr, nonTemporal, cycle_,
+                                           hpm_, parkProbe_).latency;
+            return true;
+        }
+        AccessResult res =
+            memsys_.accessPrivate(id_, addr, hpm_, parkProbe_);
+        if (!res.l1Hit && !res.l2Hit) {
+            parked_ = true;
+            return false;
+        }
+        latency = res.latency;
+    } else {
+        latency =
+            memsys_.access(id_, addr, nonTemporal, cycle_, hpm_).latency;
+    }
+    return true;
 }
 
 void
@@ -308,11 +345,14 @@ Core::halt()
     proc_->setState(ProcState::Halted);
 }
 
-void
+template <bool kFenced>
+bool
 Core::execute(const MInst &inst)
 {
+    // Nothing changes before the timed access: a fenced execute that
+    // parks returns before its first side effect.
     uint64_t cost = 1;
-    ++hpm_.instructions;
+    uint64_t latency = 0;
     isa::CodeAddr next = pc_ + 1;
     bool transferred = false;
 
@@ -354,18 +394,20 @@ Core::execute(const MInst &inst)
       case MOp::CmpLe: r[inst.rd] = r[inst.rs1] <= r[inst.rs2]; break;
       case MOp::Load: {
         uint64_t vaddr = r[inst.rs1] + static_cast<uint64_t>(inst.imm);
+        if (!timedAccess<kFenced>(vaddr, inst.nonTemporal, latency))
+            return false;
         ++hpm_.loads;
-        cost += memAccess(vaddr, inst.nonTemporal);
+        cost += latency;
         r[inst.rd] = proc_->readWord(vaddr);
         break;
       }
       case MOp::Store: {
         uint64_t vaddr = r[inst.rs1] + static_cast<uint64_t>(inst.imm);
-        ++hpm_.stores;
         // Stores retire through a write buffer: cache state is
         // updated but the core does not stall on the fill.
-        memsys_.access(id_, proc_->physAddr(vaddr), inst.nonTemporal,
-                       cycle_, hpm_);
+        if (!timedAccess<kFenced>(vaddr, inst.nonTemporal, latency))
+            return false;
+        ++hpm_.stores;
         proc_->writeWord(vaddr, r[inst.rs2]);
         break;
       }
@@ -394,12 +436,14 @@ Core::execute(const MInst &inst)
         transferred = true;
         break;
       case MOp::CallIndirect: {
-        ++hpm_.branches;
         uint64_t slot_addr = proc_->image().evtBase +
             8ULL * inst.evtSlot;
         // The EVT read is a real (cached) memory access; this is the
         // entire cost of edge virtualization.
-        cost += memAccess(slot_addr, false);
+        if (!timedAccess<kFenced>(slot_addr, false, latency))
+            return false;
+        ++hpm_.branches;
+        cost += latency;
         auto target =
             static_cast<isa::CodeAddr>(proc_->readWord(slot_addr));
         doCall(target);
@@ -421,8 +465,10 @@ Core::execute(const MInst &inst)
 
     if (!transferred)
         pc_ = next;
+    ++hpm_.instructions;
     cycle_ += cost;
     hpm_.cycles += cost;
+    return true;
 }
 
 } // namespace sim

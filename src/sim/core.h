@@ -30,12 +30,11 @@
 #include "isa/minst.h"
 #include "sim/config.h"
 #include "sim/hpm.h"
+#include "sim/memsys.h"
 #include "sim/process.h"
 
 namespace protean {
 namespace sim {
-
-class MemorySystem;
 
 /**
  * Decoded superblock dispatch statistics. Core-local and engine-
@@ -48,6 +47,7 @@ struct SuperblockStats
     uint64_t hits = 0;          ///< Dispatches served from the cache.
     uint64_t misses = 0;        ///< Dispatches that decoded a block.
     uint64_t invalidations = 0; ///< Blocks retired by version bumps.
+    uint64_t linked = 0;        ///< Hits that followed a chained link.
 };
 
 /**
@@ -110,23 +110,28 @@ class Core
      * cycle() < h — the horizon-batched engine relies on this. The
      * hot loop dispatches decoded superblocks: dense pre-resolved
      * MInst runs cached per start address and keyed on the process's
-     * codeVersion() (stale blocks retire before the next dispatch).
+     * codeVersion(). The first block of a call is looked up (stale
+     * blocks retire there); each later one follows a chained link
+     * from its predecessor (DESIGN.md §13).
      */
     void run(uint64_t horizon);
 
     /**
      * Fenced run for the joint multi-core window (DESIGN.md §13):
-     * like run(horizon), but stop *before* executing any instruction
-     * that touches the shared memory system (Load, Store, or the
-     * CallIndirect EVT read). Everything executed under the fence
-     * touches only core-local state and this core's private process
-     * memory, so fenced runs on different cores commute — the batch
-     * engine may run them in any order without changing a byte.
+     * like run(horizon), but every timed access runs only its private
+     * half (L1, L2), and the core *parks* before an instruction whose
+     * access would reach the shared L3. Everything executed under the
+     * fence touches only core-local state, this core's private caches
+     * and its process memory, so fenced runs on different cores
+     * commute.
      *
-     * @return true when the core parked at a memsys-touching
-     * instruction with cycle() < horizon (the caller must fall back
-     * to interleaved stepping for the rest of the window); false when
-     * the core reached the horizon or stopped being runnable.
+     * Calling runFenced again on a parked core resumes inside the
+     * parked block: the parked instruction runs its access's shared
+     * half first, so the caller must resume parked cores in the Step
+     * engine's (cycle, id) order and before the window ends.
+     *
+     * @return true when the core parked, with cycle() < horizon;
+     * false when it reached the horizon or stopped being runnable.
      */
     bool runFenced(uint64_t horizon);
 
@@ -207,27 +212,48 @@ class Core
     BtConfig bt_;
     std::unordered_set<isa::CodeAddr> btBlocks_;
 
+    struct Superblock;
+
+    /** A chained successor: the block at `pc` that this block's exit
+     *  went to before. kInvalidCodeAddr marks an empty link. */
+    struct Link
+    {
+        isa::CodeAddr pc = isa::kInvalidCodeAddr;
+        Superblock *sb = nullptr;
+    };
+
     /** A straight-line run of pre-resolved instructions starting at
      *  some code address: extends up to and including the first
      *  control-flow instruction (or the decode cap). */
     struct Superblock
     {
         std::vector<isa::MInst> insts;
-        /** Index of the first memsys-touching instruction (Load,
-         *  Store, CallIndirect); insts.size() when none. Fenced runs
-         *  stop here without executing it. */
-        uint32_t memFence = 0;
+        /** Up to two successors (a branch's two ways; the two latest
+         *  targets of a return or indirect call). Links are followed
+         *  only within one run call, after fetchSuperblock() checked
+         *  codeVersion(), and die with the cache they point into. */
+        std::array<Link, 2> links{};
     };
 
     /** Bounds decode work and cache growth per dispatch miss. */
     static constexpr size_t kMaxSuperblockLen = 128;
 
     /** Decoded blocks by start address. unordered_map nodes are
-     *  stable, so references survive later insertions. */
+     *  stable, so references and links survive later insertions. */
     std::unordered_map<isa::CodeAddr, Superblock> sbCache_;
     /** Process codeVersion() the cache was decoded against. */
     uint64_t sbVersion_ = 0;
     SuperblockStats sbStats_;
+
+    /** A fenced run parked before an instruction whose access needs
+     *  its shared half; the next fenced run starts with that half. */
+    bool parked_ = false;
+    /** The parked access's private-half probes. */
+    PrivateProbe parkProbe_;
+    /** Block and index the park stopped at; null when it parked on
+     *  the per-instruction (throttled) path. */
+    Superblock *parkBlock_ = nullptr;
+    size_t parkIndex_ = 0;
 
     /** Armed flip-effect watches (usually none — one emptiness test
      *  per control transfer is the entire off-path cost). */
@@ -245,16 +271,28 @@ class Core
 
     /** Find-or-decode the superblock starting at pc_, retiring the
      *  whole cache first when the process's code version moved. */
-    const Superblock &fetchSuperblock();
+    Superblock &fetchSuperblock();
 
-    static bool touchesMemsys(isa::MOp op)
-    {
-        return op == isa::MOp::Load || op == isa::MOp::Store ||
-            op == isa::MOp::CallIndirect;
-    }
+    /** The block at pc_ after `from` ran to its end: a chained link
+     *  when one matches, else a lookup that becomes a link. */
+    Superblock &successor(Superblock &from);
 
-    void execute(const isa::MInst &inst);
-    uint64_t memAccess(uint64_t vaddr, bool nonTemporal);
+    /** run() (kFenced false) and runFenced() (true). */
+    template <bool kFenced>
+    bool dispatch(uint64_t horizon);
+
+    /**
+     * Execute one instruction. A fenced execute returns false, having
+     * changed nothing, when the instruction's access must park.
+     */
+    template <bool kFenced>
+    bool execute(const isa::MInst &inst);
+
+    /** Latency of the instruction's timed access into `latency`; under
+     *  the fence, false when the access must park instead. */
+    template <bool kFenced>
+    bool timedAccess(uint64_t vaddr, bool nonTemporal, uint64_t &latency);
+
     void doCall(isa::CodeAddr target);
     void doRet();
     void transferTo(isa::CodeAddr target, bool indirect);

@@ -139,24 +139,18 @@ void
 Machine::runBatch(uint64_t until_cycle)
 {
     for (;;) {
-        // One scan finds both the scheduler's choice (min cycle,
-        // lowest index on ties — exactly nextCore()) and the core
-        // that would be chosen if `best` were absent, which bounds
-        // how far `best` may run without changing the interleaving.
+        // The scheduler's choice (min cycle, exactly nextCore()), and
+        // whether a second runnable core makes the window joint.
         Core *best = nullptr;
-        Core *other = nullptr;
+        bool joint = false;
         for (auto &u : cores_) {
             Core *k = u.get();
             if (!k->runnable())
                 continue;
-            if (!best) {
+            if (best)
+                joint = true;
+            if (!best || k->cycle() < best->cycle())
                 best = k;
-            } else if (k->cycle() < best->cycle()) {
-                other = best;
-                best = k;
-            } else if (!other || k->cycle() < other->cycle()) {
-                other = k;
-            }
         }
 
         uint64_t core_t = best ? best->cycle() : UINT64_MAX;
@@ -180,75 +174,41 @@ Machine::runBatch(uint64_t until_cycle)
         // fire when the min core cycle reaches them: `t >= bound`).
         uint64_t horizon = std::min(event_t, until_cycle);
         now_ = core_t;
-        if (!other) {
+        if (!joint) {
             // One runnable core owns the whole window.
             best->run(horizon);
             continue;
         }
 
         // Joint multi-core window. Cores interact only through the
-        // shared memory system (L3 state, the DRAM queue) — never
-        // through events (none fire inside the window) or throttles
-        // (core-local). So run every runnable core up to the fence:
-        // instructions that touch only core-local state and the
-        // core's private process memory commute across cores, and
-        // the per-core loop order is immaterial. Only when a core
-        // parks at a shared-memsys access does the rest of the
-        // window fall back to interleaved stepping — per window, not
-        // per instruction.
-        bool blocked = false;
+        // shared half of a memory access (L3, the DRAM queue,
+        // prefetch) — never through events (none fire inside the
+        // window), throttles or private caches (core-local). So every
+        // runnable core runs fenced up to its first access that
+        // reaches L3, in any order. Then the parked shared halves run
+        // in the Step engine's (cycle, id) order, each core running
+        // fenced again to its next park after its own.
+        std::vector<Core *> parked;
         for (auto &u : cores_) {
             Core *k = u.get();
             if (k->runnable() && k->cycle() < horizon &&
                 k->runFenced(horizon))
-                blocked = true;
+                parked.push_back(k);
         }
-        if (blocked)
-            runWindowInterleaved(horizon);
-    }
-}
-
-void
-Machine::runWindowInterleaved(uint64_t horizon)
-{
-    // Pairwise-bounded batching: run the scheduler's choice until
-    // another core would be chosen, preserving the exact (cycle, id)
-    // step interleaving of shared-memsys accesses. This is the
-    // pre-joint-window engine, now scoped to the remainder of a
-    // window that a fenced core could not prove interference-free.
-    for (;;) {
-        // One scan finds both the scheduler's choice (min cycle,
-        // lowest index on ties — exactly nextCore()) and the core
-        // that would be chosen if `best` were absent, which bounds
-        // how far `best` may run without changing the interleaving.
-        Core *best = nullptr;
-        Core *other = nullptr;
-        for (auto &u : cores_) {
-            Core *k = u.get();
-            if (!k->runnable())
-                continue;
-            if (!best) {
-                best = k;
-            } else if (k->cycle() < best->cycle()) {
-                other = best;
-                best = k;
-            } else if (!other || k->cycle() < other->cycle()) {
-                other = k;
+        while (!parked.empty()) {
+            size_t first = 0;
+            for (size_t j = 1; j < parked.size(); ++j) {
+                const Core *a = parked[j];
+                const Core *b = parked[first];
+                if (a->cycle() < b->cycle() ||
+                    (a->cycle() == b->cycle() && a->id() < b->id()))
+                    first = j;
+            }
+            if (!parked[first]->runFenced(horizon)) {
+                parked[first] = parked.back();
+                parked.pop_back();
             }
         }
-        if (!best || best->cycle() >= horizon)
-            return;
-        // best stays the scheduler's choice while its cycle is below
-        // every other runnable core's — and, when it has the lower
-        // index, also on ties (nextCore keeps the first minimum).
-        uint64_t bound = horizon;
-        if (other) {
-            uint64_t b = other->cycle();
-            if (best->id() < other->id())
-                ++b; // best also wins the tie at bound
-            bound = std::min(bound, b);
-        }
-        best->run(bound);
     }
 }
 

@@ -34,11 +34,11 @@ namespace sim {
  * Step is the reference semantics: one global scheduling decision
  * (min-cycle core scan + event peek) per instruction. Batch runs
  * whole horizons of instructions — bounded by the next event and the
- * until-cycle — as joint multi-core windows: every runnable core
- * runs fenced at shared-memory accesses, falling back to interleaved
- * stepping only for windows where cores actually interact. This
- * amortizes the scheduling overhead without changing a single
- * observable cycle (DESIGN.md §8, §13).
+ * until-cycle — as joint multi-core windows: every runnable core runs
+ * until its next access that reaches the shared L3, and those
+ * accesses run in the Step engine's (cycle, id) order. This amortizes
+ * the scheduling overhead without changing a single observable cycle
+ * (DESIGN.md §8, §13).
  */
 enum class Engine : uint8_t { Step, Batch };
 
@@ -149,19 +149,13 @@ class Machine
     void runStep(uint64_t until_cycle);
 
     /**
-     * Horizon-batched engine (same observable behavior). Windows are
-     * joint across cores: every runnable core runs fenced (stopping
-     * before shared-memsys accesses, which commute-free instructions
-     * never reach); only a window where some core parks at a shared
-     * access falls back to runWindowInterleaved — per window, never
-     * per instruction (DESIGN.md §13).
+     * Horizon-batched engine (same observable behavior). A window
+     * with one runnable core runs it straight to the horizon. A joint
+     * window runs every runnable core fenced to its next access that
+     * reaches the shared L3, then runs those accesses' shared halves
+     * in (cycle, id) order (DESIGN.md §13).
      */
     void runBatch(uint64_t until_cycle);
-
-    /** Fallback for a window with shared-memsys interaction: pairwise
-     *  (cycle, id)-bounded batching that reproduces the reference
-     *  step interleaving exactly. */
-    void runWindowInterleaved(uint64_t horizon);
 
     /** One observability sampling step (reschedules itself while the
      *  tracer stays enabled). */

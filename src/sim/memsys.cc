@@ -40,40 +40,69 @@ MemorySystem::streaming(uint32_t core) const
     return seqRun_[core] >= cfg_.prefetchMinRun;
 }
 
-AccessResult
+// Unfenced runs issue whole accesses. Flattening inlines both halves
+// (and prefetch) here, so the split costs them no extra calls.
+[[gnu::flatten]] AccessResult
 MemorySystem::access(uint32_t core, uint64_t addr, bool nonTemporal,
                      uint64_t now, HpmCounters &hpm)
+{
+    PrivateProbe probe;
+    AccessResult res = accessPrivate(core, addr, hpm, probe);
+    if (res.l1Hit || res.l2Hit)
+        return res;
+    return accessShared(core, addr, nonTemporal, now, hpm, probe);
+}
+
+AccessResult
+MemorySystem::accessPrivate(uint32_t core, uint64_t addr,
+                            HpmCounters &hpm, PrivateProbe &probe)
 {
     if (core >= l1_.size())
         panic("MemorySystem: bad core %u", core);
 
-    noteAccess(core, addr);
-
     // Each level is probed once. A missed probe already names the
-    // way its fill evicts, and no level is touched again between its
-    // probe and its install below.
+    // way its fill evicts, and only this core's own next access
+    // touches its L1 or L2, so the shared half reuses the probes.
     Cache &l1 = *l1_[core];
-    Cache &l2 = *l2_[core];
     AccessResult res;
-    res.latency = cfg_.l1.latency;
-    Cache::Probe p1 = l1.lookup(addr);
-    if (p1.hit) {
+    probe.l1 = l1.peek(addr);
+    if (probe.l1.hit) {
+        noteAccess(core, addr);
+        l1.commit(probe.l1);
+        res.latency = cfg_.l1.latency;
         res.l1Hit = true;
         return res;
     }
-    ++hpm.l1Misses;
-
-    res.latency += cfg_.l2.latency;
-    Cache::Probe p2 = l2.lookup(addr);
-    if (p2.hit) {
-        res.l2Hit = true;
+    Cache &l2 = *l2_[core];
+    probe.l2 = l2.peek(addr);
+    if (probe.l2.hit) {
+        noteAccess(core, addr);
+        l1.commit(probe.l1);
+        ++hpm.l1Misses;
+        l2.commit(probe.l2);
         // L1 always fills normally: the hint targets shared levels.
-        l1.install(p1, addr, false);
-        return res;
+        l1.install(probe.l1, addr, false);
+        res.latency = cfg_.l1.latency + cfg_.l2.latency;
+        res.l2Hit = true;
     }
+    return res;
+}
+
+AccessResult
+MemorySystem::accessShared(uint32_t core, uint64_t addr,
+                           bool nonTemporal, uint64_t now,
+                           HpmCounters &hpm, const PrivateProbe &probe)
+{
+    noteAccess(core, addr);
+    Cache &l1 = *l1_[core];
+    Cache &l2 = *l2_[core];
+    l1.commit(probe.l1);
+    ++hpm.l1Misses;
+    l2.commit(probe.l2);
     ++hpm.l2Misses;
 
-    res.latency += cfg_.l3.latency;
+    AccessResult res;
+    res.latency = cfg_.l1.latency + cfg_.l2.latency + cfg_.l3.latency;
     ++hpm.l3Accesses;
     Cache::Probe p3 = l3_->lookup(addr);
     if (!p3.hit) {
@@ -94,8 +123,8 @@ MemorySystem::access(uint32_t core, uint64_t addr, bool nonTemporal,
     if (!p3.hit && !bypass)
         l3_->install(p3, addr, nt);
     if (!bypass)
-        l2.install(p2, addr, nt);
-    l1.install(p1, addr, false);
+        l2.install(probe.l2, addr, nt);
+    l1.install(probe.l1, addr, false);
 
     if (!p3.hit && streaming(core))
         prefetch(core, addr, nt);

@@ -33,14 +33,31 @@ struct AccessResult
     bool dram = false;
 };
 
-/** The timed memory hierarchy shared by all cores. */
+/** The issuing core's L1 and L2 probes of one access: the way that
+ *  hit, or the way a fill of the line would evict. */
+struct PrivateProbe
+{
+    Cache::Probe l1;
+    Cache::Probe l2;
+};
+
+/**
+ * The timed memory hierarchy shared by all cores.
+ *
+ * An access splits into a private half and a shared half. The private
+ * half touches only the issuing core's L1, L2 and stride tracker, and
+ * nothing else touches those, so it commutes with every other core's
+ * work. Only the shared half (L3, the DRAM queue, prefetch) couples
+ * cores; the multi-core engine orders just those (DESIGN.md §13).
+ */
 class MemorySystem
 {
   public:
     explicit MemorySystem(const MachineConfig &cfg);
 
     /**
-     * Perform one timed access.
+     * Perform one timed access: the private half, then, unless it hit,
+     * the shared half.
      * @param core Issuing core index.
      * @param addr Physical byte address.
      * @param nonTemporal Fill L2/L3 with the NT policy.
@@ -49,6 +66,26 @@ class MemorySystem
      */
     AccessResult access(uint32_t core, uint64_t addr, bool nonTemporal,
                         uint64_t now, HpmCounters &hpm);
+
+    /**
+     * Private half of an access: probe the core's L1, then its L2. On
+     * a hit it commits the access (stats, recency, stride run, the L1
+     * fill of an L2 hit) and returns it with l1Hit or l2Hit set. On an
+     * L2 miss it changes nothing and returns neither flag set; `probe`
+     * then holds what accessShared() needs.
+     */
+    AccessResult accessPrivate(uint32_t core, uint64_t addr,
+                               HpmCounters &hpm, PrivateProbe &probe);
+
+    /**
+     * Shared half of an access whose private half missed: commit the
+     * L1/L2 misses, then L3, DRAM, the fills and prefetch. The core
+     * must make no other access between the two halves.
+     */
+    AccessResult accessShared(uint32_t core, uint64_t addr,
+                              bool nonTemporal, uint64_t now,
+                              HpmCounters &hpm,
+                              const PrivateProbe &probe);
 
     /** Shared L3 (stats / occupancy inspection). */
     Cache &l3() { return *l3_; }

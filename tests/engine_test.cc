@@ -334,7 +334,7 @@ TEST_F(EngineTest, StepVsBatchFourProcMixed)
     // All four cores busy: compute, a cache-resident walker, a
     // streaming walker, and a protean batch app contending in the
     // shared L3, with mid-run events throttling cores 0 and 1 —
-    // every joint window here has at least one fenced fallback.
+    // most joint windows here park accesses at the shared L3.
     ir::Module sm = spinModule();
     isa::Image spin = pcc::compilePlain(sm);
     ir::Module rm = walkerModule(64 * 1024, "reuse", 320);
@@ -351,6 +351,226 @@ TEST_F(EngineTest, StepVsBatchFourProcMixed)
                                 {&spin, &reuse, &stream, &app},
                                 700'000);
     expectRunsEq(step, batch);
+}
+
+/** The loop-body constant mostlyPrivateModule's install patches. */
+constexpr int64_t kPatchedConst = 5555;
+
+/**
+ * A loop whose accesses mostly stay in the core's private caches.
+ * Each iteration loads a 1 KiB hot array and stores one word (L1
+ * hits), and calls a two-block helper that pcc::compile virtualizes:
+ * a CallIndirect whose EVT line stays L1-resident. In the middle of
+ * the same block a walk over `cold_bytes` reaches L3 whenever the
+ * prefetcher has not covered its line, so cores park mid-superblock.
+ */
+ir::Module
+mostlyPrivateModule(const std::string &name, int64_t cold_bytes,
+                    int64_t cold_stride)
+{
+    ir::Module m(name);
+    ir::GlobalId hot = m.addGlobal("hot", 1024);
+    ir::GlobalId cold =
+        m.addGlobal("cold", static_cast<uint64_t>(cold_bytes) + 4096);
+    ir::GlobalId out = m.addGlobal("out", 64);
+    ir::IRBuilder b(m);
+
+    b.startFunction("bump", 1);
+    ir::BlockId body = b.newBlock();
+    b.br(body);
+    b.setBlock(body);
+    ir::Reg three = b.constInt(3);
+    b.ret(b.add(0, three));
+
+    b.startFunction("main", 0);
+    ir::Reg hot_base = b.globalAddr(hot);
+    ir::Reg cold_base = b.globalAddr(cold);
+    ir::Reg out_base = b.globalAddr(out);
+    ir::Reg hot_mask = b.constInt(1024 - 8);
+    ir::Reg cold_mask = b.constInt(cold_bytes - 8);
+    ir::Reg stride = b.constInt(cold_stride);
+    ir::Reg eight = b.constInt(8);
+    ir::Reg i = b.constInt(0);
+    ir::Reg cur = b.constInt(0);
+    ir::Reg acc = b.constInt(0);
+    ir::Reg addr = b.func().newReg();
+    ir::Reg x = b.func().newReg();
+    b.func().noteReg(addr);
+    b.func().noteReg(x);
+    ir::BlockId loop = b.newBlock();
+    b.br(loop);
+    b.setBlock(loop);
+    b.binaryInto(addr, ir::Opcode::And, i, hot_mask);
+    b.binaryInto(addr, ir::Opcode::Add, addr, hot_base);
+    b.loadInto(x, addr);
+    b.binaryInto(acc, ir::Opcode::Add, acc, x);
+    ir::Reg k = b.constInt(kPatchedConst);
+    b.binaryInto(acc, ir::Opcode::Add, acc, k);
+    b.binaryInto(addr, ir::Opcode::And, cur, cold_mask);
+    b.binaryInto(addr, ir::Opcode::Add, addr, cold_base);
+    b.loadInto(x, addr);
+    b.binaryInto(acc, ir::Opcode::Add, acc, x);
+    b.store(out_base, acc);
+    b.binaryInto(i, ir::Opcode::Add, i, eight);
+    b.binaryInto(cur, ir::Opcode::Add, cur, stride);
+    b.movInto(acc, b.call(0, {acc}));
+    b.br(loop);
+    return m;
+}
+
+/** Everything a run leaves in the memory system, per level and per
+ *  core, plus each process's `out` word. */
+struct MemoryRecord
+{
+    std::vector<HpmCounters> hpm;
+    std::vector<CacheStats> caches; ///< l1.c, l2.c per core, then l3
+    uint64_t dramAccesses = 0;
+    uint64_t prefetches = 0;
+    std::vector<uint64_t> l3Lines; ///< L3 lines owned per process
+    std::vector<uint64_t> outs;
+    SuperblockStats sb; ///< Summed over cores (engine-dependent).
+};
+
+/**
+ * Run `images[i]` on core i in uneven runFor chunks. With `install`,
+ * an event halfway through installs a variant in every process the
+ * way RuntimeCompiler does: it appends code, retargets the EVT slot
+ * to it, and patches live code in place (the loop constant), so the
+ * version bump must retire every decoded block and chained link.
+ */
+MemoryRecord
+runMostlyPrivate(Engine engine,
+                 const std::vector<const isa::Image *> &images,
+                 uint64_t total_cycles, bool install)
+{
+    Machine machine;
+    machine.setEngine(engine);
+    std::vector<Process *> procs;
+    for (uint32_t c = 0; c < images.size(); ++c)
+        procs.push_back(&machine.load(*images[c], c));
+    if (install) {
+        machine.scheduleAfter(total_cycles / 2, [&procs] {
+            for (Process *p : procs) {
+                std::vector<isa::MInst> stub(2);
+                stub[0].op = isa::MOp::Add; // bump(x) = x + x
+                stub[1].op = isa::MOp::Ret;
+                isa::CodeAddr entry = p->appendCode(stub);
+                p->writeWord(p->image().evtBase, entry);
+                for (isa::CodeAddr a = 0; a < entry; ++a) {
+                    isa::MInst in = p->inst(a);
+                    if (in.op == isa::MOp::Const &&
+                        in.imm == kPatchedConst) {
+                        in.imm = 1111;
+                        p->patchInst(a, in);
+                    }
+                }
+            }
+        });
+    }
+    uint64_t chunks[] = {total_cycles / 7, total_cycles / 3 + 11, 1,
+                         total_cycles};
+    for (uint64_t c : chunks)
+        machine.runFor(c);
+
+    MemoryRecord rec;
+    MemorySystem &ms = machine.memsys();
+    for (uint32_t c = 0; c < machine.numCores(); ++c) {
+        rec.hpm.push_back(machine.core(c).hpm());
+        rec.caches.push_back(ms.l1(c).stats());
+        rec.caches.push_back(ms.l2(c).stats());
+        const SuperblockStats &s = machine.core(c).superblockStats();
+        rec.sb.hits += s.hits;
+        rec.sb.misses += s.misses;
+        rec.sb.invalidations += s.invalidations;
+        rec.sb.linked += s.linked;
+    }
+    rec.caches.push_back(ms.l3().stats());
+    rec.dramAccesses = ms.dramAccesses();
+    rec.prefetches = ms.prefetches();
+    for (Process *p : procs) {
+        rec.l3Lines.push_back(
+            ms.l3().linesOwnedBy(p->physBase(), Process::kPhysStride));
+        // Global 2 is mostlyPrivateModule's `out`.
+        rec.outs.push_back(p->readWord(p->image().layout.base(2)));
+    }
+    return rec;
+}
+
+void
+expectMemoryEq(const MemoryRecord &step, const MemoryRecord &batch)
+{
+    ASSERT_EQ(step.hpm.size(), batch.hpm.size());
+    for (uint32_t c = 0; c < step.hpm.size(); ++c)
+        expectHpmEq(step.hpm[c], batch.hpm[c], c);
+    ASSERT_EQ(step.caches.size(), batch.caches.size());
+    for (size_t i = 0; i < step.caches.size(); ++i) {
+        SCOPED_TRACE("cache " + std::to_string(i));
+        EXPECT_EQ(step.caches[i].accesses, batch.caches[i].accesses);
+        EXPECT_EQ(step.caches[i].misses, batch.caches[i].misses);
+        EXPECT_EQ(step.caches[i].ntFills, batch.caches[i].ntFills);
+    }
+    EXPECT_EQ(step.dramAccesses, batch.dramAccesses);
+    EXPECT_EQ(step.prefetches, batch.prefetches);
+    EXPECT_EQ(step.l3Lines, batch.l3Lines);
+    EXPECT_EQ(step.outs, batch.outs);
+}
+
+TEST_F(EngineTest, StepVsBatchMostlyPrivateAccesses)
+{
+    // Cores 0 and 1 run the same image from cycle 0, so their first
+    // accesses park at the same cycle and the lower id must take the
+    // DRAM queue first. Cores 2 and 3 walk with other strides: a
+    // sequential one the prefetcher covers, and one it cannot.
+    ir::Module tm = mostlyPrivateModule("twin", 256 * 1024, 8);
+    isa::Image twin = pcc::compile(tm);
+    ir::Module sm = mostlyPrivateModule("seq", 64 * 1024, 64);
+    isa::Image seq = pcc::compile(sm);
+    ir::Module gm = mostlyPrivateModule("gap", 512 * 1024, 320);
+    isa::Image gap = pcc::compile(gm);
+
+    // The helper call is virtualized, and the cold load sits in the
+    // middle of the loop's block, after the constant the install
+    // patches.
+    isa::CodeAddr patched = isa::kInvalidCodeAddr;
+    bool indirect = false;
+    for (isa::CodeAddr a = 0;
+         a < static_cast<isa::CodeAddr>(twin.code.size()); ++a) {
+        const isa::MInst &in = twin.code[a];
+        indirect |= in.op == isa::MOp::CallIndirect;
+        if (in.op == isa::MOp::Const && in.imm == kPatchedConst)
+            patched = a;
+    }
+    ASSERT_TRUE(indirect);
+    ASSERT_NE(patched, isa::kInvalidCodeAddr);
+    isa::CodeAddr a = patched;
+    while (twin.code[a].op != isa::MOp::Load) {
+        ASSERT_FALSE(twin.code[a].isControlFlow());
+        ++a;
+    }
+
+    for (size_t procs : {2u, 4u}) {
+        SCOPED_TRACE(std::to_string(procs) + " procs");
+        std::vector<const isa::Image *> images = {&twin, &twin, &seq,
+                                                  &gap};
+        images.resize(procs);
+        MemoryRecord plain =
+            runMostlyPrivate(Engine::Step, images, 300'000, false);
+        MemoryRecord step =
+            runMostlyPrivate(Engine::Step, images, 300'000, true);
+        MemoryRecord batch =
+            runMostlyPrivate(Engine::Batch, images, 300'000, true);
+        expectMemoryEq(step, batch);
+        // Most accesses stay private, and some reach L3.
+        uint64_t refs = 0;
+        for (size_t c = 0; c < procs; ++c)
+            refs += step.caches[2 * c].accesses;
+        EXPECT_GT(step.caches.back().accesses, 0u);
+        EXPECT_LT(2 * step.caches.back().accesses, refs);
+        // The install landed mid-run and retired linked blocks.
+        EXPECT_NE(plain.outs, step.outs);
+        EXPECT_GT(batch.sb.linked, 0u);
+        EXPECT_GT(batch.sb.invalidations, 0u);
+    }
 }
 
 /** A hot loop whose body re-materializes a distinctive constant

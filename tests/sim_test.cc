@@ -10,6 +10,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "ir/builder.h"
 #include "pcc/pcc.h"
@@ -258,12 +259,34 @@ TEST(MemorySystem, NoPrefetchForStridedAccess)
     EXPECT_EQ(ms.prefetches(), 0u);
 }
 
+/** The stats of every cache level and the DRAM channel's counts, by
+ *  name. */
+std::map<std::string, uint64_t>
+memoryFigures(MemorySystem &ms, uint32_t cores)
+{
+    std::map<std::string, uint64_t> f;
+    auto addCache = [&f](const Cache &c) {
+        f[c.name() + ".accesses"] = c.stats().accesses;
+        f[c.name() + ".misses"] = c.stats().misses;
+        f[c.name() + ".nt_fills"] = c.stats().ntFills;
+    };
+    for (uint32_t c = 0; c < cores; ++c) {
+        addCache(ms.l1(c));
+        addCache(ms.l2(c));
+    }
+    addCache(ms.l3());
+    f["dram_accesses"] = ms.dramAccesses();
+    f["prefetches"] = ms.prefetches();
+    return f;
+}
+
 /** Every figure a seeded two-core stream leaves in the memory
  *  system, by name. Sequential runs arm the prefetcher, strided runs
  *  miss without it, and a hot region per core gives L2 and L3 hits;
- *  30% of the runs are non-temporal. */
+ *  30% of the runs are non-temporal. With `split`, each access runs
+ *  as its private half and, when that misses, its shared half. */
 std::map<std::string, uint64_t>
-seededStreamFigures(NtPolicy policy)
+seededStreamFigures(NtPolicy policy, bool split = false)
 {
     MachineConfig cfg;
     cfg.numCores = 2;
@@ -293,25 +316,21 @@ seededStreamFigures(NtPolicy policy)
         uint64_t len = 4 + rng.nextBelow(36);
         for (uint64_t i = 0; i < len; ++i) {
             uint64_t addr = core * window + (start + i * stride) % window;
-            AccessResult r = ms.access(core, addr, nt, now, hpm);
+            AccessResult r;
+            if (split) {
+                PrivateProbe probe;
+                r = ms.accessPrivate(core, addr, hpm, probe);
+                if (!r.l1Hit && !r.l2Hit)
+                    r = ms.accessShared(core, addr, nt, now, hpm, probe);
+            } else {
+                r = ms.access(core, addr, nt, now, hpm);
+            }
             latency += r.latency;
             now += r.latency;
         }
     }
-    std::map<std::string, uint64_t> f;
-    auto addCache = [&f](const Cache &c) {
-        f[c.name() + ".accesses"] = c.stats().accesses;
-        f[c.name() + ".misses"] = c.stats().misses;
-        f[c.name() + ".nt_fills"] = c.stats().ntFills;
-    };
-    for (uint32_t c = 0; c < cfg.numCores; ++c) {
-        addCache(ms.l1(c));
-        addCache(ms.l2(c));
-    }
-    addCache(ms.l3());
+    std::map<std::string, uint64_t> f = memoryFigures(ms, cfg.numCores);
     f["latency"] = latency;
-    f["dram_accesses"] = ms.dramAccesses();
-    f["prefetches"] = ms.prefetches();
     f["l3_lines.core0"] = ms.l3().linesOwnedBy(0, window);
     f["l3_lines.core1"] = ms.l3().linesOwnedBy(window, window);
     return f;
@@ -352,6 +371,69 @@ TEST(MemorySystem, SeededStreamPinnedUnderBypass)
         {"l3_lines.core0", 913}, {"l3_lines.core1", 1135},
     };
     EXPECT_EQ(seededStreamFigures(NtPolicy::Bypass), want);
+}
+
+TEST(MemorySystem, AccessIsPrivateThenSharedHalf)
+{
+    // The multi-core engine issues each access as two halves, with
+    // other cores' work in between; together they must be access().
+    for (NtPolicy p : {NtPolicy::LruInsert, NtPolicy::Bypass})
+        EXPECT_EQ(seededStreamFigures(p, true), seededStreamFigures(p));
+}
+
+TEST(MemorySystem, PrivateMissChangesNothing)
+{
+    // Twin memory systems see the same accesses, except that `probed`
+    // also runs the private half of an access that misses L1 and L2.
+    // Nothing may change: not the stats, not the lines a fill of the
+    // missed line would evict, and not the stride run that decides
+    // the next prefetch.
+    MachineConfig cfg = smallConfig();
+    cfg.prefetchDegree = 2;
+    cfg.prefetchMinRun = 4;
+    MemorySystem probed(cfg);
+    MemorySystem twin(cfg);
+    HpmCounters hp;
+    HpmCounters ht;
+    // Fill every way of L1 set 0 (its lines lie 1 KiB apart), then
+    // walk four sequential lines: one short of arming the prefetcher.
+    const uint64_t set0 = 0x40000;
+    const uint64_t run = 0x80040;
+    std::vector<uint64_t> addrs;
+    for (uint64_t w = 0; w < cfg.l1.ways; ++w)
+        addrs.push_back(set0 + 1024 * w);
+    for (uint64_t i = 0; i < 4; ++i)
+        addrs.push_back(run + 64 * i);
+    for (uint64_t a : addrs) {
+        probed.access(0, a, false, 0, hp);
+        twin.access(0, a, false, 0, ht);
+    }
+
+    // A line in L1 set 0 that misses both private levels.
+    PrivateProbe probe;
+    AccessResult r = probed.accessPrivate(0, 0xc0000, hp, probe);
+    EXPECT_FALSE(r.l1Hit);
+    EXPECT_FALSE(r.l2Hit);
+    EXPECT_FALSE(probe.l1.hit);
+    EXPECT_FALSE(probe.l2.hit);
+    EXPECT_EQ(memoryFigures(probed, 2), memoryFigures(twin, 2));
+    EXPECT_EQ(hp.l1Misses, ht.l1Misses);
+    EXPECT_EQ(hp.l2Misses, ht.l2Misses);
+    EXPECT_EQ(hp.l3Accesses, ht.l3Accesses);
+    for (uint64_t w = 0; w < cfg.l1.ways; ++w)
+        EXPECT_TRUE(probed.l1(0).contains(set0 + 1024 * w));
+    EXPECT_FALSE(probed.l1(0).contains(0xc0000));
+    EXPECT_FALSE(probed.l2(0).contains(0xc0000));
+
+    // The fifth sequential line arms the prefetcher in both.
+    probed.access(0, run + 64 * 4, false, 0, hp);
+    twin.access(0, run + 64 * 4, false, 0, ht);
+    EXPECT_GT(twin.prefetches(), 0u);
+    EXPECT_EQ(memoryFigures(probed, 2), memoryFigures(twin, 2));
+    EXPECT_EQ(hp.l1Misses, ht.l1Misses);
+    EXPECT_EQ(hp.l2Misses, ht.l2Misses);
+    EXPECT_EQ(hp.l3Accesses, ht.l3Accesses);
+    EXPECT_EQ(hp.dramAccesses, ht.dramAccesses);
 }
 
 /** Build a tiny infinite-loop program for timing tests. */
