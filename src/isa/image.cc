@@ -40,7 +40,7 @@ Image::function(ir::FuncId id) const
 uint64_t
 Image::initialWord(uint64_t byte_addr) const
 {
-    if (byte_addr + 8 > initialData.size())
+    if (!hasInitialWord(byte_addr))
         panic("Image %s: initialWord at %llu out of range", name.c_str(),
               static_cast<unsigned long long>(byte_addr));
     uint64_t v = 0;
@@ -52,7 +52,7 @@ Image::initialWord(uint64_t byte_addr) const
 void
 Image::setInitialWord(uint64_t byte_addr, uint64_t value)
 {
-    if (byte_addr + 8 > initialData.size())
+    if (!hasInitialWord(byte_addr))
         panic("Image %s: setInitialWord at %llu out of range",
               name.c_str(),
               static_cast<unsigned long long>(byte_addr));

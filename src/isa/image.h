@@ -92,6 +92,16 @@ struct Image
     /** True when the image carries protean metadata. */
     bool isProtean() const { return evtCount > 0; }
 
+    /** Byte address of an EVT slot's code-address word. */
+    uint64_t evtSlotAddr(uint32_t slot) const { return evtBase + 8ULL * slot; }
+
+    /** True when the 8-byte word at byte_addr lies in initialData. */
+    bool hasInitialWord(uint64_t byte_addr) const
+    {
+        return initialData.size() >= 8 &&
+            byte_addr <= initialData.size() - 8;
+    }
+
     /** Entry code address of the program. */
     CodeAddr entryPoint() const;
 

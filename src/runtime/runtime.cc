@@ -28,7 +28,7 @@ ProteanRuntime::ProteanRuntime(sim::Machine &machine,
     governor_ = std::make_unique<NapGovernor>(machine_,
                                               host_.coreId());
     attachCycle_ = machine_.now();
-    // Flip-effect watches fire from the host core's transferTo; the
+    // Flip-effect watches fire on the host core's control transfers; the
     // alive guard covers watches outliving this runtime.
     machine_.core(host_.coreId())
         .setFlipHook([this, alive = alive_](uint64_t id, bool osr,

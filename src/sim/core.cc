@@ -18,9 +18,8 @@ void
 Core::bind(Process *proc)
 {
     proc_ = proc;
-    regs_.fill(0);
-    stack_.clear();
-    btBlocks_.clear();
+    arch_.regs.fill(0);
+    arch_.stack.clear();
     sbCache_.clear();
     parked_ = false;
     parkBlock_ = nullptr;
@@ -28,14 +27,9 @@ Core::bind(Process *proc)
     sbVersion_ = proc ? proc->codeVersion() : 0;
     if (proc_) {
         proc_->setCoreId(id_);
-        pc_ = proc_->image().entryPoint();
-        if (bt_.enabled) {
-            // Entry block translation.
-            btBlocks_.insert(pc_);
-            cycle_ += bt_.translateCycles;
-            hpm_.cycles += bt_.translateCycles;
-        }
+        arch_.pc = proc_->image().entryPoint();
     }
+    setBtConfig(bt_); // retranslates from the entry block
 }
 
 bool
@@ -75,7 +69,7 @@ Core::setBtConfig(const BtConfig &bt)
     bt_ = bt;
     btBlocks_.clear();
     if (bt_.enabled && proc_) {
-        btBlocks_.insert(pc_);
+        btBlocks_.insert(arch_.pc);
         cycle_ += bt_.translateCycles;
         hpm_.cycles += bt_.translateCycles;
     }
@@ -110,6 +104,131 @@ Core::consumeThrottles()
     return false;
 }
 
+template <bool kFenced>
+bool
+Core::timedAccess(uint64_t vaddr, bool nonTemporal, uint64_t &latency)
+{
+    uint64_t addr = proc_->physAddr(vaddr);
+    if constexpr (kFenced) {
+        if (parked_) {
+            // This core's turn in (cycle, id) order: the shared half.
+            parked_ = false;
+            latency = memsys_.accessShared(id_, addr, nonTemporal, cycle_,
+                                           hpm_, parkProbe_).latency;
+            return true;
+        }
+        AccessResult res =
+            memsys_.accessPrivate(id_, addr, hpm_, parkProbe_);
+        if (!res.l1Hit && !res.l2Hit) {
+            parked_ = true;
+            return false;
+        }
+        latency = res.latency;
+    } else {
+        latency =
+            memsys_.access(id_, addr, nonTemporal, cycle_, hpm_).latency;
+    }
+    return true;
+}
+
+/**
+ * The core's port onto isa::execute: each access is timed through the
+ * memory system (and, under the fence, may park before its shared
+ * half), and each retired event is counted in the HPM.
+ */
+template <bool kFenced>
+struct Core::Port
+{
+    Core &c;
+    /** Latency the instruction stalls on: its load or EVT read. */
+    uint64_t latency = 0;
+
+    bool
+    load(uint64_t addr, bool nonTemporal, uint64_t &value)
+    {
+        if (!c.timedAccess<kFenced>(addr, nonTemporal, latency))
+            return false;
+        ++c.hpm_.loads;
+        value = c.proc_->readWord(addr);
+        return true;
+    }
+
+    bool
+    store(uint64_t addr, bool nonTemporal, uint64_t value)
+    {
+        // Stores retire through a write buffer: cache state is
+        // updated but the core does not stall on the fill.
+        uint64_t buffered = 0;
+        if (!c.timedAccess<kFenced>(addr, nonTemporal, buffered))
+            return false;
+        ++c.hpm_.stores;
+        c.proc_->writeWord(addr, value);
+        return true;
+    }
+
+    bool
+    evtTarget(uint32_t slot, isa::CodeAddr &target)
+    {
+        // The EVT read is a real (cached) memory access; this is the
+        // entire cost of edge virtualization.
+        uint64_t addr = c.proc_->image().evtSlotAddr(slot);
+        if (!c.timedAccess<kFenced>(addr, false, latency))
+            return false;
+        target = static_cast<isa::CodeAddr>(c.proc_->readWord(addr));
+        return true;
+    }
+
+    bool
+    unpatchedCall()
+    {
+        panic("core %u: unpatched direct call at %u", c.id_, c.arch_.pc);
+    }
+
+    bool enterCall(size_t) { return true; }
+    // The executed prefetchnta: costs its slot; the line's insertion
+    // policy is carried by the following NT load.
+    void hint() { ++c.hpm_.hints; }
+    void branch() { ++c.hpm_.branches; }
+
+    isa::CodeAddr
+    transfer(isa::CodeAddr, isa::CodeAddr to, isa::Transfer how)
+    {
+        if (!c.flipWatches_.empty())
+            c.fireFlipWatches(to);
+        if (c.bt_.enabled) {
+            // Returns pay the indirect lookup; calls and branches the
+            // linked-block residual.
+            uint64_t extra = how == isa::Transfer::Return
+                ? c.bt_.indirectCycles : c.bt_.takenExtraCycles;
+            if (c.btBlocks_.insert(to).second)
+                extra += c.bt_.translateCycles;
+            c.cycle_ += extra;
+            c.hpm_.cycles += extra;
+        }
+        return to;
+    }
+
+    void halt() { c.proc_->setState(ProcState::Halted); }
+};
+
+// Inlined into the dispatch loop: a call per instruction would cost
+// more than most instructions do.
+template <bool kFenced>
+[[gnu::always_inline]] inline bool
+Core::execute(const MInst &inst)
+{
+    Port<kFenced> port{*this};
+    if (!isa::execute(port, arch_, inst))
+        return false; // parked before the access: nothing changed
+    const MOp op = inst.op;
+    const uint64_t cost = port.latency +
+        (op == MOp::Mul ? 3 : op == MOp::Div || op == MOp::Mod ? 12 : 1);
+    ++hpm_.instructions;
+    cycle_ += cost;
+    hpm_.cycles += cost;
+    return true;
+}
+
 void
 Core::step()
 {
@@ -117,7 +236,7 @@ Core::step()
         return;
     if (!proc_ || proc_->state() != ProcState::Running)
         panic("core %u stepped without runnable work", id_);
-    execute<false>(proc_->inst(pc_));
+    execute<false>(proc_->inst(arch_.pc));
 }
 
 Core::Superblock &
@@ -132,7 +251,8 @@ Core::fetchSuperblock()
         sbCache_.clear();
         sbVersion_ = v;
     }
-    auto it = sbCache_.find(pc_);
+    const isa::CodeAddr pc = arch_.pc;
+    auto it = sbCache_.find(pc);
     if (it != sbCache_.end()) {
         ++sbStats_.hits;
         return it->second;
@@ -140,15 +260,15 @@ Core::fetchSuperblock()
     ++sbStats_.misses;
     Superblock sb;
     isa::CodeAddr end = proc_->codeSize();
-    for (isa::CodeAddr a = pc_; a < end; ++a) {
+    for (isa::CodeAddr a = pc; a < end; ++a) {
         const MInst &in = proc_->inst(a);
         sb.insts.push_back(in);
         if (in.isControlFlow() || sb.insts.size() >= kMaxSuperblockLen)
             break;
     }
     if (sb.insts.empty())
-        proc_->inst(pc_); // canonical wild-pc panic
-    return sbCache_.emplace(pc_, std::move(sb)).first->second;
+        proc_->inst(pc); // canonical wild-pc panic
+    return sbCache_.emplace(pc, std::move(sb)).first->second;
 }
 
 Core::Superblock &
@@ -158,7 +278,7 @@ Core::successor(Superblock &from)
     // code, and none fires inside one run call. (So on a link miss the
     // check is a no-op, and `from` survives it.)
     for (const Link &l : from.links) {
-        if (l.pc == pc_) {
+        if (l.pc == arch_.pc) {
             ++sbStats_.hits;
             ++sbStats_.linked;
             return *l.sb;
@@ -167,7 +287,7 @@ Core::successor(Superblock &from)
     Superblock &to = fetchSuperblock();
     // Fill the first link, then keep the second for the latest miss.
     Link &slot = from.links[0].sb ? from.links[1] : from.links[0];
-    slot = Link{pc_, &to};
+    slot = Link{arch_.pc, &to};
     return to;
 }
 
@@ -212,7 +332,7 @@ Core::dispatch(uint64_t horizon)
                     continue;
                 if (!proc_ || proc_->state() != ProcState::Running)
                     return false;
-                if (!execute<kFenced>(proc_->inst(pc_)))
+                if (!execute<kFenced>(proc_->inst(arch_.pc)))
                     return true;
                 continue;
             }
@@ -238,78 +358,10 @@ Core::dispatch(uint64_t horizon)
     return false;
 }
 
-template <bool kFenced>
-bool
-Core::timedAccess(uint64_t vaddr, bool nonTemporal, uint64_t &latency)
-{
-    uint64_t addr = proc_->physAddr(vaddr);
-    if constexpr (kFenced) {
-        if (parked_) {
-            // This core's turn in (cycle, id) order: the shared half.
-            parked_ = false;
-            latency = memsys_.accessShared(id_, addr, nonTemporal, cycle_,
-                                           hpm_, parkProbe_).latency;
-            return true;
-        }
-        AccessResult res =
-            memsys_.accessPrivate(id_, addr, hpm_, parkProbe_);
-        if (!res.l1Hit && !res.l2Hit) {
-            parked_ = true;
-            return false;
-        }
-        latency = res.latency;
-    } else {
-        latency =
-            memsys_.access(id_, addr, nonTemporal, cycle_, hpm_).latency;
-    }
-    return true;
-}
-
-void
-Core::doCall(isa::CodeAddr target)
-{
-    Frame frame;
-    frame.ret = pc_ + 1;
-    for (uint32_t i = 0; i < kSavedRegs; ++i)
-        frame.saved[i] = regs_[isa::kFirstGeneralReg + i];
-    stack_.push_back(frame);
-    transferTo(target, false);
-}
-
-void
-Core::doRet()
-{
-    if (stack_.empty()) {
-        halt();
-        return;
-    }
-    Frame frame = stack_.back();
-    stack_.pop_back();
-    for (uint32_t i = 0; i < kSavedRegs; ++i)
-        regs_[isa::kFirstGeneralReg + i] = frame.saved[i];
-    transferTo(frame.ret, true);
-}
-
-void
-Core::transferTo(isa::CodeAddr target, bool indirect)
-{
-    pc_ = target;
-    if (!flipWatches_.empty())
-        fireFlipWatches(target);
-    if (bt_.enabled) {
-        uint64_t extra = indirect ? bt_.indirectCycles
-            : bt_.takenExtraCycles;
-        if (btBlocks_.insert(target).second)
-            extra += bt_.translateCycles;
-        cycle_ += extra;
-        hpm_.cycles += extra;
-    }
-}
-
 void
 Core::fireFlipWatches(isa::CodeAddr target)
 {
-    // Kept out of the transferTo fast path: watches exist only while
+    // Kept out of the transfer fast path: watches exist only while
     // a dispatched flip has not yet taken effect. Watches fire in
     // arming order, deterministically, before the transfer's cycle
     // cost is charged — and cost nothing themselves.
@@ -337,138 +389,6 @@ Core::retargetFlipWatches(uint32_t func, isa::CodeAddr lo,
             w.entry = entry;
         }
     }
-}
-
-void
-Core::halt()
-{
-    proc_->setState(ProcState::Halted);
-}
-
-template <bool kFenced>
-bool
-Core::execute(const MInst &inst)
-{
-    // Nothing changes before the timed access: a fenced execute that
-    // parks returns before its first side effect.
-    uint64_t cost = 1;
-    uint64_t latency = 0;
-    isa::CodeAddr next = pc_ + 1;
-    bool transferred = false;
-
-    auto &r = regs_;
-    switch (inst.op) {
-      case MOp::Const:
-        r[inst.rd] = static_cast<uint64_t>(inst.imm);
-        break;
-      case MOp::Mov:
-        r[inst.rd] = r[inst.rs1];
-        break;
-      case MOp::Add: r[inst.rd] = r[inst.rs1] + r[inst.rs2]; break;
-      case MOp::Sub: r[inst.rd] = r[inst.rs1] - r[inst.rs2]; break;
-      case MOp::Mul:
-        r[inst.rd] = r[inst.rs1] * r[inst.rs2];
-        cost = 3;
-        break;
-      case MOp::Div:
-        r[inst.rd] = r[inst.rs2] == 0 ? 0 : r[inst.rs1] / r[inst.rs2];
-        cost = 12;
-        break;
-      case MOp::Mod:
-        r[inst.rd] = r[inst.rs2] == 0 ? r[inst.rs1]
-            : r[inst.rs1] % r[inst.rs2];
-        cost = 12;
-        break;
-      case MOp::And: r[inst.rd] = r[inst.rs1] & r[inst.rs2]; break;
-      case MOp::Or: r[inst.rd] = r[inst.rs1] | r[inst.rs2]; break;
-      case MOp::Xor: r[inst.rd] = r[inst.rs1] ^ r[inst.rs2]; break;
-      case MOp::Shl:
-        r[inst.rd] = r[inst.rs1] << (r[inst.rs2] & 63);
-        break;
-      case MOp::Shr:
-        r[inst.rd] = r[inst.rs1] >> (r[inst.rs2] & 63);
-        break;
-      case MOp::CmpEq: r[inst.rd] = r[inst.rs1] == r[inst.rs2]; break;
-      case MOp::CmpNe: r[inst.rd] = r[inst.rs1] != r[inst.rs2]; break;
-      case MOp::CmpLt: r[inst.rd] = r[inst.rs1] < r[inst.rs2]; break;
-      case MOp::CmpLe: r[inst.rd] = r[inst.rs1] <= r[inst.rs2]; break;
-      case MOp::Load: {
-        uint64_t vaddr = r[inst.rs1] + static_cast<uint64_t>(inst.imm);
-        if (!timedAccess<kFenced>(vaddr, inst.nonTemporal, latency))
-            return false;
-        ++hpm_.loads;
-        cost += latency;
-        r[inst.rd] = proc_->readWord(vaddr);
-        break;
-      }
-      case MOp::Store: {
-        uint64_t vaddr = r[inst.rs1] + static_cast<uint64_t>(inst.imm);
-        // Stores retire through a write buffer: cache state is
-        // updated but the core does not stall on the fill.
-        if (!timedAccess<kFenced>(vaddr, inst.nonTemporal, latency))
-            return false;
-        ++hpm_.stores;
-        proc_->writeWord(vaddr, r[inst.rs2]);
-        break;
-      }
-      case MOp::Hint:
-        // The executed prefetchnta: costs its slot; the line's
-        // insertion policy is carried by the following NT load.
-        ++hpm_.hints;
-        break;
-      case MOp::Jmp:
-        ++hpm_.branches;
-        transferTo(inst.target, false);
-        transferred = true;
-        break;
-      case MOp::Bnz:
-        ++hpm_.branches;
-        if (r[inst.rs1] != 0) {
-            transferTo(inst.target, false);
-            transferred = true;
-        }
-        break;
-      case MOp::CallDirect:
-        ++hpm_.branches;
-        if (inst.target == isa::kInvalidCodeAddr)
-            panic("core %u: unpatched direct call at %u", id_, pc_);
-        doCall(inst.target);
-        transferred = true;
-        break;
-      case MOp::CallIndirect: {
-        uint64_t slot_addr = proc_->image().evtBase +
-            8ULL * inst.evtSlot;
-        // The EVT read is a real (cached) memory access; this is the
-        // entire cost of edge virtualization.
-        if (!timedAccess<kFenced>(slot_addr, false, latency))
-            return false;
-        ++hpm_.branches;
-        cost += latency;
-        auto target =
-            static_cast<isa::CodeAddr>(proc_->readWord(slot_addr));
-        doCall(target);
-        transferred = true;
-        break;
-      }
-      case MOp::Ret:
-        ++hpm_.branches;
-        doRet();
-        transferred = true;
-        break;
-      case MOp::Halt:
-        halt();
-        transferred = true;
-        break;
-      case MOp::Nop:
-        break;
-    }
-
-    if (!transferred)
-        pc_ = next;
-    ++hpm_.instructions;
-    cycle_ += cost;
-    hpm_.cycles += cost;
-    return true;
 }
 
 } // namespace sim

@@ -3,9 +3,13 @@
  * In-order simulated core.
  *
  * Single-issue, blocking loads. Each instruction costs one cycle
- * plus memory latency for loads. Calls use register windows: the
- * hardware call stack saves r4..r63, so compiled code carries no
- * callee-save sequences (see isa/minst.h).
+ * plus memory latency for loads. What an instruction means is
+ * isa::execute (isa/semantics.h), shared with the validation
+ * sandbox; the core is its *timing port*: timed accesses through the
+ * memory system, per-op cycle costs, HPM counts, flip watches, and
+ * panics on what a vetted image cannot contain. Calls use register
+ * windows: the hardware call stack saves r4..r63, so compiled code
+ * carries no callee-save sequences (see isa/minst.h).
  *
  * Two mechanisms external controllers use:
  *  - Napping: a duty-cycle throttle (the ReQoS/flux mechanism). With
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "isa/minst.h"
+#include "isa/semantics.h"
 #include "sim/config.h"
 #include "sim/hpm.h"
 #include "sim/memsys.h"
@@ -139,10 +144,10 @@ class Core
     const SuperblockStats &superblockStats() const { return sbStats_; }
 
     /** Current program counter (PC-sampling interface). */
-    isa::CodeAddr pc() const { return pc_; }
+    isa::CodeAddr pc() const { return arch_.pc; }
 
     /** Register read (tests). */
-    uint64_t reg(uint32_t r) const { return regs_[r]; }
+    uint64_t reg(uint32_t r) const { return arch_.regs[r]; }
 
     const HpmCounters &hpm() const { return hpm_; }
 
@@ -155,9 +160,6 @@ class Core
 
     /** Enable/disable the binary-translation execution mode. */
     void setBtConfig(const BtConfig &bt);
-
-    /** Call-stack depth (tests). */
-    size_t stackDepth() const { return stack_.size(); }
 
     /** Install the flip-watch fire callback (the protean runtime). */
     void setFlipHook(FlipHook hook) { flipHook_ = std::move(hook); }
@@ -179,23 +181,16 @@ class Core
     size_t flipWatchCount() const { return flipWatches_.size(); }
 
   private:
-    static constexpr uint32_t kSavedRegs =
-        isa::kNumMachineRegs - isa::kFirstGeneralReg;
-
-    struct Frame
-    {
-        isa::CodeAddr ret;
-        std::array<uint64_t, kSavedRegs> saved;
-    };
+    /** The timing port isa::execute runs through (core.cc). */
+    template <bool kFenced>
+    struct Port;
 
     uint32_t id_;
     const MachineConfig &cfg_;
     MemorySystem &memsys_;
 
     Process *proc_ = nullptr;
-    isa::CodeAddr pc_ = 0;
-    std::array<uint64_t, isa::kNumMachineRegs> regs_{};
-    std::vector<Frame> stack_;
+    isa::ArchState arch_;
 
     uint64_t cycle_ = 0;
     HpmCounters hpm_;
@@ -293,12 +288,8 @@ class Core
     template <bool kFenced>
     bool timedAccess(uint64_t vaddr, bool nonTemporal, uint64_t &latency);
 
-    void doCall(isa::CodeAddr target);
-    void doRet();
-    void transferTo(isa::CodeAddr target, bool indirect);
     /** Fire-and-remove every watch covering `target` (cold path). */
     void fireFlipWatches(isa::CodeAddr target);
-    void halt();
 };
 
 } // namespace sim

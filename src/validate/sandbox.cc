@@ -1,5 +1,9 @@
 #include "validate/sandbox.h"
 
+#include <algorithm>
+#include <map>
+
+#include "isa/semantics.h"
 #include "support/logging.h"
 
 namespace protean {
@@ -7,6 +11,20 @@ namespace validate {
 
 using isa::MInst;
 using isa::MOp;
+
+namespace {
+
+/** Fold a word into an FNV-1a digest, low byte first. */
+void
+fnvFold(uint64_t &digest, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        digest ^= (v >> (8 * i)) & 0xff;
+        digest *= 0x100000001b3ULL;
+    }
+}
+
+} // namespace
 
 const char *
 trapName(Trap t)
@@ -29,12 +47,8 @@ SandboxResult::fingerprint() const
     // Registers folded into one FNV digest so the fingerprint stays
     // short enough to embed in verdict reasons and test failures.
     uint64_t rh = 0xcbf29ce484222325ULL;
-    for (uint64_t v : regs) {
-        for (int i = 0; i < 8; ++i) {
-            rh ^= (v >> (8 * i)) & 0xff;
-            rh *= 0x100000001b3ULL;
-        }
-    }
+    for (uint64_t v : regs)
+        fnvFold(rh, v);
     return strformat(
         "trap=%s steps=%llu loads=%llu stores=%llu branches=%llu "
         "writes=%llu/%016llx regs=%016llx",
@@ -47,219 +61,129 @@ SandboxResult::fingerprint() const
         static_cast<unsigned long long>(rh));
 }
 
-uint64_t
-Sandbox::readWord(uint64_t addr) const
+namespace {
+
+/** The sandbox's port onto isa::execute: overlay memory, and a typed
+ *  trap for every refusal. */
+struct TrapPort
 {
-    auto it = mem_.find(addr);
-    if (it != mem_.end())
-        return it->second;
-    // Fall through to the initial data segment, then zero-fill —
-    // the same visible semantics as PagedMemory::loadImage + reads.
-    if (addr + 8 <= image_.initialData.size())
-        return image_.initialWord(addr);
-    return 0;
-}
+    const isa::Image &image;
+    SandboxResult &res;
+    const OsrFlip *flip;
+    uint64_t flipTaken = 0; ///< Taken transfers of the flipped branch.
+    std::map<uint64_t, uint64_t> mem{}; ///< Write overlay.
+    bool halted = false;
+
+    bool
+    trap(Trap t)
+    {
+        res.trap = t;
+        return false;
+    }
+
+    uint64_t
+    readWord(uint64_t addr) const
+    {
+        auto it = mem.find(addr);
+        if (it != mem.end())
+            return it->second;
+        return image.hasInitialWord(addr) ? image.initialWord(addr) : 0;
+    }
+
+    bool
+    load(uint64_t addr, bool, uint64_t &value)
+    {
+        if (addr & 7)
+            return trap(Trap::Unaligned);
+        ++res.loads;
+        value = readWord(addr);
+        return true;
+    }
+
+    bool
+    store(uint64_t addr, bool, uint64_t value)
+    {
+        if (addr & 7)
+            return trap(Trap::Unaligned);
+        ++res.stores;
+        mem[addr] = value;
+        // Order-sensitive digest: a dropped, reordered or re-valued
+        // store changes it even when the final memory image agrees.
+        fnvFold(res.writeDigest, addr);
+        fnvFold(res.writeDigest, value);
+        ++res.writeCount;
+        return true;
+    }
+
+    bool
+    evtTarget(uint32_t slot, isa::CodeAddr &target)
+    {
+        if (slot >= image.evtCount) {
+            ++res.branches; // the trapping call still counts
+            return trap(Trap::WildEvtSlot);
+        }
+        target = static_cast<isa::CodeAddr>(
+            readWord(image.evtSlotAddr(slot)));
+        return true;
+    }
+
+    bool unpatchedCall() { return trap(Trap::UnpatchedCall); }
+
+    bool
+    enterCall(size_t depth)
+    {
+        return depth < Sandbox::kMaxCallDepth || trap(Trap::CallDepth);
+    }
+
+    void hint() { ++res.hints; }
+    void branch() { ++res.branches; }
+
+    isa::CodeAddr
+    transfer(isa::CodeAddr from, isa::CodeAddr to, isa::Transfer how)
+    {
+        // The patched back-edge lands on dest from its
+        // afterExecutions-th taken transfer on.
+        if (flip && how == isa::Transfer::Branch && from == flip->pc &&
+            flipTaken++ >= flip->afterExecutions)
+            return flip->dest;
+        return to;
+    }
+
+    void halt() { halted = true; }
+};
+
+} // namespace
 
 SandboxResult
 Sandbox::run(const std::vector<MInst> &code, isa::CodeAddr entry,
              const std::array<uint64_t, 4> &args,
-             uint64_t step_budget, const OsrFlip *flip)
+             uint64_t step_budget, const OsrFlip *flip) const
 {
     SandboxResult res;
-    mem_.clear();
-    // Taken transfers of the OSR-flipped branch seen so far; once it
-    // reaches flip->afterExecutions, the branch is "patched".
-    uint64_t flip_taken = 0;
+    TrapPort port{image_, res, flip};
+    isa::ArchState s;
+    s.pc = entry;
+    std::copy(args.begin(), args.end(), s.regs.begin());
 
-    std::array<uint64_t, isa::kNumMachineRegs> &r = res.regs;
-    r.fill(0);
-    for (size_t i = 0; i < args.size(); ++i)
-        r[i] = args[i];
-
-    constexpr uint32_t kSaved =
-        isa::kNumMachineRegs - isa::kFirstGeneralReg;
-    struct Frame
-    {
-        isa::CodeAddr ret;
-        std::array<uint64_t, kSaved> saved;
-    };
-    std::vector<Frame> stack;
-
-    auto trap = [&res](Trap t, isa::CodeAddr pc) {
-        res.trap = t;
-        res.trapPc = pc;
-    };
-    auto writeWord = [this, &res](uint64_t addr, uint64_t value) {
-        mem_[addr] = value;
-        // Order-sensitive digest: a dropped, reordered or re-valued
-        // store changes it even when the final memory image agrees.
-        for (uint64_t v : {addr, value}) {
-            for (int i = 0; i < 8; ++i) {
-                res.writeDigest ^= (v >> (8 * i)) & 0xff;
-                res.writeDigest *= 0x100000001b3ULL;
-            }
-        }
-        ++res.writeCount;
-    };
-    auto doCall = [&](isa::CodeAddr ret_pc, isa::CodeAddr target,
-                      isa::CodeAddr at) -> isa::CodeAddr {
-        if (stack.size() >= kMaxCallDepth) {
-            trap(Trap::CallDepth, at);
-            return at;
-        }
-        Frame f;
-        f.ret = ret_pc;
-        for (uint32_t i = 0; i < kSaved; ++i)
-            f.saved[i] = r[isa::kFirstGeneralReg + i];
-        stack.push_back(f);
-        return target;
-    };
-
-    isa::CodeAddr pc = entry;
-    bool halted = false;
-    while (!halted && res.trap == Trap::None) {
-        if (pc >= code.size()) {
-            trap(Trap::WildPc, pc);
+    while (!port.halted) {
+        if (s.pc >= code.size()) {
+            res.trap = Trap::WildPc;
             break;
         }
-        const MInst &inst = code[pc];
+        const MInst &inst = code[s.pc];
         if (inst.op != MOp::Hint) {
             if (res.steps >= step_budget) {
-                trap(Trap::StepBudget, pc);
+                res.trap = Trap::StepBudget;
                 break;
             }
             ++res.steps;
         }
-        isa::CodeAddr next = pc + 1;
-        bool transferred = false;
-
-        switch (inst.op) {
-          case MOp::Const:
-            r[inst.rd] = static_cast<uint64_t>(inst.imm);
-            break;
-          case MOp::Mov:
-            r[inst.rd] = r[inst.rs1];
-            break;
-          case MOp::Add: r[inst.rd] = r[inst.rs1] + r[inst.rs2]; break;
-          case MOp::Sub: r[inst.rd] = r[inst.rs1] - r[inst.rs2]; break;
-          case MOp::Mul: r[inst.rd] = r[inst.rs1] * r[inst.rs2]; break;
-          case MOp::Div:
-            r[inst.rd] =
-                r[inst.rs2] == 0 ? 0 : r[inst.rs1] / r[inst.rs2];
-            break;
-          case MOp::Mod:
-            r[inst.rd] = r[inst.rs2] == 0 ? r[inst.rs1]
-                : r[inst.rs1] % r[inst.rs2];
-            break;
-          case MOp::And: r[inst.rd] = r[inst.rs1] & r[inst.rs2]; break;
-          case MOp::Or: r[inst.rd] = r[inst.rs1] | r[inst.rs2]; break;
-          case MOp::Xor: r[inst.rd] = r[inst.rs1] ^ r[inst.rs2]; break;
-          case MOp::Shl:
-            r[inst.rd] = r[inst.rs1] << (r[inst.rs2] & 63);
-            break;
-          case MOp::Shr:
-            r[inst.rd] = r[inst.rs1] >> (r[inst.rs2] & 63);
-            break;
-          case MOp::CmpEq:
-            r[inst.rd] = r[inst.rs1] == r[inst.rs2];
-            break;
-          case MOp::CmpNe:
-            r[inst.rd] = r[inst.rs1] != r[inst.rs2];
-            break;
-          case MOp::CmpLt:
-            r[inst.rd] = r[inst.rs1] < r[inst.rs2];
-            break;
-          case MOp::CmpLe:
-            r[inst.rd] = r[inst.rs1] <= r[inst.rs2];
-            break;
-          case MOp::Load: {
-            uint64_t addr =
-                r[inst.rs1] + static_cast<uint64_t>(inst.imm);
-            if (addr & 7) {
-                trap(Trap::Unaligned, pc);
-                break;
-            }
-            ++res.loads;
-            r[inst.rd] = readWord(addr);
-            break;
-          }
-          case MOp::Store: {
-            uint64_t addr =
-                r[inst.rs1] + static_cast<uint64_t>(inst.imm);
-            if (addr & 7) {
-                trap(Trap::Unaligned, pc);
-                break;
-            }
-            ++res.stores;
-            writeWord(addr, r[inst.rs2]);
-            break;
-          }
-          case MOp::Hint:
-            ++res.hints;
-            break;
-          case MOp::Jmp:
-            ++res.branches;
-            next = inst.target;
-            if (flip && pc == flip->pc &&
-                flip_taken++ >= flip->afterExecutions)
-                next = flip->dest;
-            transferred = true;
-            break;
-          case MOp::Bnz:
-            ++res.branches;
-            if (r[inst.rs1] != 0) {
-                next = inst.target;
-                if (flip && pc == flip->pc &&
-                    flip_taken++ >= flip->afterExecutions)
-                    next = flip->dest;
-                transferred = true;
-            }
-            break;
-          case MOp::CallDirect:
-            ++res.branches;
-            if (inst.target == isa::kInvalidCodeAddr) {
-                trap(Trap::UnpatchedCall, pc);
-                break;
-            }
-            next = doCall(pc + 1, inst.target, pc);
-            transferred = true;
-            break;
-          case MOp::CallIndirect: {
-            ++res.branches;
-            if (inst.evtSlot >= image_.evtCount) {
-                trap(Trap::WildEvtSlot, pc);
-                break;
-            }
-            uint64_t slot_addr =
-                image_.evtBase + 8ULL * inst.evtSlot;
-            auto target =
-                static_cast<isa::CodeAddr>(readWord(slot_addr));
-            next = doCall(pc + 1, target, pc);
-            transferred = true;
-            break;
-          }
-          case MOp::Ret:
-            ++res.branches;
-            if (stack.empty()) {
-                halted = true;
-            } else {
-                Frame f = stack.back();
-                stack.pop_back();
-                for (uint32_t i = 0; i < kSaved; ++i)
-                    r[isa::kFirstGeneralReg + i] = f.saved[i];
-                next = f.ret;
-                transferred = true;
-            }
-            break;
-          case MOp::Halt:
-            halted = true;
-            break;
-          case MOp::Nop:
-            break;
-        }
-        (void)transferred;
-        pc = next;
+        if (!isa::execute(port, s, inst))
+            break; // trapped, with s.pc on the faulting instruction
     }
+    if (res.trap != Trap::None)
+        res.trapPc = s.pc;
+    res.regs = s.regs;
     return res;
 }
 

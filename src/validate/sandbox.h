@@ -1,27 +1,18 @@
 /**
  * @file
- * Sandboxed PISA interpreter for differential validation.
+ * Sandboxed PISA execution for differential validation.
  *
- * The tier-2 validator must execute *candidate* variant code — code a
- * (possibly miscompiled) backend just produced — and a miscompiled
- * instruction stream can do anything: jump past the end of the code
- * array, call through an unpatched direct-call slot, or compute an
- * unaligned address. The real sim::Core panics on all of those
- * (correct for vetted images, fatal for a validator), so the sandbox
- * is a separate functional interpreter with *identical architectural
- * semantics* (the same Div/Mod-by-zero rules, shift masking, register
- * windows, and EVT dispatch as sim/core.cc) that converts every
- * would-be panic into a trap recorded in the result.
- *
- * The sandbox is purely functional: no caches, no cycle costs, no
- * event queue. What it records is exactly what differential
- * validation compares — final register state, the ordered memory
- * write log (as a digest), and the architectural event counts the
- * HPM would have seen (instructions, loads, stores, branches) —
- * plus the trap, if any. Hints are counted separately and excluded
- * from the step budget so an NT variant and its original execute the
- * same number of budgeted instructions and stay comparable even when
- * both runs are cut off at the limit.
+ * The tier-2 validator executes *candidate* variant code, which a
+ * miscompiling backend may have made jump past the code array, call
+ * through an unpatched slot, or compute an unaligned address.
+ * sim::Core panics on those (right for vetted images, fatal for a
+ * validator). The sandbox runs the same semantics, isa::execute
+ * (isa/semantics.h), through a *trapping port* that turns each
+ * would-be panic into a typed trap. The port is purely functional (no
+ * caches, no cycles) and records what differential validation
+ * compares: final registers, an ordered write digest, the HPM-style
+ * event counts, and the trap. Hints run outside the step budget, so
+ * an NT variant and its original are cut at the same logical point.
  */
 
 #ifndef PROTEAN_VALIDATE_SANDBOX_H
@@ -29,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -131,14 +121,10 @@ class Sandbox
                       isa::CodeAddr entry,
                       const std::array<uint64_t, 4> &args,
                       uint64_t step_budget,
-                      const OsrFlip *flip = nullptr);
+                      const OsrFlip *flip = nullptr) const;
 
   private:
     const isa::Image &image_;
-    /** Write overlay for the current run (word-addressed). */
-    std::map<uint64_t, uint64_t> mem_;
-
-    uint64_t readWord(uint64_t addr) const;
 };
 
 } // namespace validate

@@ -249,19 +249,17 @@ Validator::structuralCheck(ir::FuncId func, const BitVector &mask,
     return Tier1::Equivalent;
 }
 
-std::vector<MInst>
-Validator::appendToImage(const codegen::LoweredFunction &fn,
-                         isa::CodeAddr *entry) const
+isa::CodeAddr
+Validator::append(std::vector<MInst> &code,
+                  const codegen::LoweredFunction &fn) const
 {
-    std::vector<MInst> code = image_.code;
-    *entry = static_cast<isa::CodeAddr>(code.size());
+    auto entry = static_cast<isa::CodeAddr>(code.size());
     codegen::LoweredFunction placed = fn;
-    codegen::relocate(placed, *entry);
+    codegen::relocate(placed, entry);
     code.insert(code.end(), placed.code.begin(), placed.code.end());
     for (auto [offset, callee] : placed.directCallFixups)
-        code[*entry + offset].target =
-            image_.function(callee).entry;
-    return code;
+        code[entry + offset].target = image_.function(callee).entry;
+    return entry;
 }
 
 std::array<uint64_t, 4>
@@ -291,20 +289,19 @@ Validator::differentialCheck(ir::FuncId func, const BitVector &mask,
     // an identical harness: the static image with the candidate
     // appended, EVT and data segment untouched, so calls out of the
     // variant dispatch to the original code on both sides.
-    codegen::LoweredFunction clean = lowerVariant(func, mask);
-    isa::CodeAddr ref_entry = 0, cand_entry = 0;
-    std::vector<MInst> ref_prog = appendToImage(clean, &ref_entry);
-    std::vector<MInst> cand_prog =
-        appendToImage(candidate, &cand_entry);
+    std::vector<MInst> ref_prog = image_.code;
+    std::vector<MInst> cand_prog = image_.code;
+    isa::CodeAddr ref_entry =
+        append(ref_prog, lowerVariant(func, mask));
+    isa::CodeAddr cand_entry = append(cand_prog, candidate);
 
-    Sandbox ref_box(image_);
-    Sandbox cand_box(image_);
+    Sandbox box(image_);
     for (uint32_t k = 0; k < cfg_.diffInputs; ++k) {
         std::array<uint64_t, 4> args = diffArgs(func, k);
-        SandboxResult a = ref_box.run(ref_prog, ref_entry, args,
-                                      cfg_.diffStepLimit);
-        SandboxResult b = cand_box.run(cand_prog, cand_entry, args,
-                                       cfg_.diffStepLimit);
+        SandboxResult a =
+            box.run(ref_prog, ref_entry, args, cfg_.diffStepLimit);
+        SandboxResult b =
+            box.run(cand_prog, cand_entry, args, cfg_.diffStepLimit);
         if (steps)
             *steps += a.steps + b.steps;
         if (!a.equivalentTo(b)) {
@@ -338,19 +335,8 @@ Validator::osrCheck(ir::FuncId func, const BitVector &mask,
     // lowering into the other mid-loop — the same address geometry
     // the runtime's osrRedirect creates in the live process.
     std::vector<MInst> prog = image_.code;
-    auto append = [this, &prog](const codegen::LoweredFunction &fn) {
-        auto entry = static_cast<isa::CodeAddr>(prog.size());
-        codegen::LoweredFunction placed = fn;
-        codegen::relocate(placed, entry);
-        prog.insert(prog.end(), placed.code.begin(),
-                    placed.code.end());
-        for (auto [offset, callee] : placed.directCallFixups)
-            prog[entry + offset].target =
-                image_.function(callee).entry;
-        return entry;
-    };
-    isa::CodeAddr orig_entry = append(orig);
-    isa::CodeAddr var_entry = append(var);
+    isa::CodeAddr orig_entry = append(prog, orig);
+    isa::CodeAddr var_entry = append(prog, var);
 
     Sandbox box(image_);
     static const uint64_t kFlipAfter[] = {0, 1, 3};

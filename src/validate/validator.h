@@ -202,12 +202,10 @@ class Validator
     codegen::VirtualizationMap slots_;
     ValidateConfig cfg_;
 
-    /** Append `fn` (relocated, direct calls patched to the static
-     *  image entries) to a copy of the image code; returns the
-     *  entry address of the appended code via *entry. */
-    std::vector<isa::MInst> appendToImage(
-        const codegen::LoweredFunction &fn, isa::CodeAddr *entry)
-        const;
+    /** Append `fn` to `code`, relocated and with its direct calls
+     *  patched to the static image entries; returns its entry. */
+    isa::CodeAddr append(std::vector<isa::MInst> &code,
+                         const codegen::LoweredFunction &fn) const;
 
     /** Seeded argument registers for differential input `index`. */
     std::array<uint64_t, 4> diffArgs(ir::FuncId func,

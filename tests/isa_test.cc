@@ -121,6 +121,22 @@ TEST(Image, InitialWordRoundtrip)
     EXPECT_EQ(image.initialData[15], 0x11);
 }
 
+TEST(Image, InitialWordBoundsDoNotWrap)
+{
+    ir::Module m = tinyModule();
+    Image image = pcc::compile(m);
+    // byte_addr + 8 wraps to 0 here; the word is 8 bytes before the
+    // data segment, not in it.
+    const uint64_t top = ~0ULL - 7;
+    EXPECT_DEATH(image.initialWord(top), "out of range");
+    EXPECT_DEATH(image.setInitialWord(top, 1), "out of range");
+    const uint64_t size = image.initialData.size();
+    EXPECT_DEATH(image.initialWord(size - 4), "out of range");
+    // The last whole word is still in range.
+    image.setInitialWord(size - 8, 42);
+    EXPECT_EQ(image.initialWord(size - 8), 42u);
+}
+
 TEST(Image, DisassembleAllListsFunctions)
 {
     ir::Module m = tinyModule();
