@@ -139,13 +139,11 @@ ProteanRuntime::deployVariant(ir::FuncId func, const BitVector &mask,
                     // variant (its flip is subsumed), and the fresh
                     // dispatch gets its own watch. Pure observation —
                     // zero modeled cycles.
-                    sim::Core &hc = machine_.core(host_.coreId());
-                    hc.retargetFlipWatches(func, rec->entry, rec->end,
-                                           rec->entry);
                     uint64_t id = nextFlipId_++;
-                    hc.armFlipWatch(
-                        {id, func, rec->entry, rec->end, rec->entry});
-                    pendingFlips_.push_back({id, request_cycle});
+                    machine_.core(host_.coreId())
+                        .armFlipWatch({id, func, rec->entry, rec->end,
+                                       rec->entry});
+                    pendingFlips_.emplace(id, request_cycle);
                     if (opts_.osr &&
                         compiler_->osrSiteCount(func) > 0) {
                         uint32_t patches =
@@ -204,27 +202,24 @@ ProteanRuntime::revertAll()
 void
 ProteanRuntime::onFlipEffect(uint64_t id, bool osr, uint64_t cycle)
 {
-    for (size_t i = 0; i < pendingFlips_.size(); ++i) {
-        if (pendingFlips_[i].id != id)
-            continue;
-        uint64_t req = pendingFlips_[i].requestCycle;
-        uint64_t lat = cycle > req ? cycle - req : 0;
-        if (osr) {
-            flipOsrHist_.record(lat);
-            flipOsrWindow_.record(lat);
-            if (lat > worstOsrFlip_)
-                worstOsrFlip_ = lat;
-            obs::metrics().counter("runtime.flip.effect_osr").inc();
-        } else {
-            flipEntryHist_.record(lat);
-            flipEntryWindow_.record(lat);
-            if (lat > worstEntryFlip_)
-                worstEntryFlip_ = lat;
-            obs::metrics().counter("runtime.flip.effect_entry").inc();
-        }
-        pendingFlips_.erase(pendingFlips_.begin() +
-                            static_cast<ptrdiff_t>(i));
+    auto it = pendingFlips_.find(id);
+    if (it == pendingFlips_.end())
         return;
+    uint64_t req = it->second;
+    pendingFlips_.erase(it);
+    uint64_t lat = cycle > req ? cycle - req : 0;
+    if (osr) {
+        flipOsrHist_.record(lat);
+        flipOsrWindow_.record(lat);
+        if (lat > worstOsrFlip_)
+            worstOsrFlip_ = lat;
+        obs::metrics().counter("runtime.flip.effect_osr").inc();
+    } else {
+        flipEntryHist_.record(lat);
+        flipEntryWindow_.record(lat);
+        if (lat > worstEntryFlip_)
+            worstEntryFlip_ = lat;
+        obs::metrics().counter("runtime.flip.effect_entry").inc();
     }
 }
 
@@ -237,8 +232,8 @@ ProteanRuntime::flipEffectStats(uint64_t now) const
     s.worstEntry = worstEntryFlip_;
     s.worstOsr = worstOsrFlip_;
     s.pending = pendingFlips_.size();
-    for (const PendingFlip &p : pendingFlips_) {
-        uint64_t lat = now > p.requestCycle ? now - p.requestCycle : 0;
+    for (const auto &[id, request_cycle] : pendingFlips_) {
+        uint64_t lat = now > request_cycle ? now - request_cycle : 0;
         if (lat > s.worstPending)
             s.worstPending = lat;
     }

@@ -14,7 +14,7 @@
 #define PROTEAN_RUNTIME_RUNTIME_H
 
 #include <memory>
-#include <vector>
+#include <unordered_map>
 
 #include "obs/hdr.h"
 #include "runtime/attach.h"
@@ -212,13 +212,9 @@ class ProteanRuntime
     uint64_t runtimeCycles_ = 0;
     uint64_t attachCycle_ = 0;
 
-    /** A dispatched flip whose effect has not been observed yet. */
-    struct PendingFlip
-    {
-        uint64_t id;
-        uint64_t requestCycle;
-    };
-    std::vector<PendingFlip> pendingFlips_;
+    /** Request cycle of each dispatched flip whose effect has not
+     *  been observed yet, by flip-watch id. */
+    std::unordered_map<uint64_t, uint64_t> pendingFlips_;
     obs::HdrHistogram flipEntryHist_;
     obs::HdrHistogram flipOsrHist_;
     /** Since-last-drain windows for the telemetry scrape. */

@@ -362,33 +362,43 @@ void
 Core::fireFlipWatches(isa::CodeAddr target)
 {
     // Kept out of the transfer fast path: watches exist only while
-    // a dispatched flip has not yet taken effect. Watches fire in
+    // a dispatched flip has not yet taken effect. Ranges of different
+    // functions are disjoint, so at most one entry covers `target`.
+    // It is detached before the hook runs; its watches then fire in
     // arming order, deterministically, before the transfer's cycle
     // cost is charged — and cost nothing themselves.
-    size_t kept = 0;
-    for (size_t i = 0; i < flipWatches_.size(); ++i) {
-        const FlipWatch &w = flipWatches_[i];
-        if (target >= w.lo && target < w.hi) {
-            if (flipHook_)
-                flipHook_(w.id, target != w.entry, cycle_);
-        } else {
-            flipWatches_[kept++] = flipWatches_[i];
+    for (auto it = flipWatches_.begin(); it != flipWatches_.end(); ++it) {
+        if (target < it->lo || target >= it->hi)
+            continue;
+        WatchedFunction fired = std::move(*it);
+        flipWatches_.erase(it);
+        if (flipHook_) {
+            for (uint64_t id : fired.ids)
+                flipHook_(id, target != fired.entry, cycle_);
         }
+        return;
     }
-    flipWatches_.resize(kept);
 }
 
 void
-Core::retargetFlipWatches(uint32_t func, isa::CodeAddr lo,
-                          isa::CodeAddr hi, isa::CodeAddr entry)
+Core::armFlipWatch(const FlipWatch &w)
 {
-    for (FlipWatch &w : flipWatches_) {
-        if (w.func == func) {
-            w.lo = lo;
-            w.hi = hi;
-            w.entry = entry;
-        }
+    WatchedFunction *mine = nullptr;
+    for (WatchedFunction &f : flipWatches_) {
+        if (f.func == w.func)
+            mine = &f;
+        else if (w.lo < f.hi && f.lo < w.hi)
+            panic("core %u: flip watch [%u, %u) for function %u "
+                  "overlaps function %u's [%u, %u)", id_, w.lo, w.hi,
+                  w.func, f.func, f.lo, f.hi);
     }
+    if (!mine)
+        mine = &flipWatches_.emplace_back();
+    mine->func = w.func;
+    mine->lo = w.lo;
+    mine->hi = w.hi;
+    mine->entry = w.entry;
+    mine->ids.push_back(w.id);
 }
 
 } // namespace sim

@@ -164,21 +164,20 @@ class Core
     /** Install the flip-watch fire callback (the protean runtime). */
     void setFlipHook(FlipHook hook) { flipHook_ = std::move(hook); }
 
-    /** Arm a flip-effect watch; fires (and is removed) at the first
-     *  control transfer into [lo, hi). */
-    void armFlipWatch(const FlipWatch &w) { flipWatches_.push_back(w); }
-
     /**
-     * Supersede every pending watch for `func` with a newer dispatch:
-     * each keeps its identity (and the runtime its request cycle) but
-     * now fires when execution first reaches code at least as new as
-     * the latest variant — the flip it was waiting for is subsumed.
+     * Arm flip watch `w.id` for a dispatch of `w.func`. The core keeps
+     * one entry per watched function: arming retargets every pending
+     * watch for w.func to [w.lo, w.hi) — the flip each waited for is
+     * subsumed by the newer dispatch, though each keeps its identity
+     * (and the runtime its request cycle) — and appends w.id. All of
+     * them fire, in arming order, and are removed at the first control
+     * transfer into that range. Ranges of different functions must be
+     * disjoint (variants are disjoint appended code).
      */
-    void retargetFlipWatches(uint32_t func, isa::CodeAddr lo,
-                             isa::CodeAddr hi, isa::CodeAddr entry);
+    void armFlipWatch(const FlipWatch &w);
 
-    /** Pending (unfired) flip watches on this core. */
-    size_t flipWatchCount() const { return flipWatches_.size(); }
+    /** Functions with pending (unfired) flip watches on this core. */
+    size_t watchedFunctionCount() const { return flipWatches_.size(); }
 
   private:
     /** The timing port isa::execute runs through (core.cc). */
@@ -250,9 +249,24 @@ class Core
     Superblock *parkBlock_ = nullptr;
     size_t parkIndex_ = 0;
 
-    /** Armed flip-effect watches (usually none — one emptiness test
-     *  per control transfer is the entire off-path cost). */
-    std::vector<FlipWatch> flipWatches_;
+    /** The pending flip watches of one function: every one waits for
+     *  the function's newest dispatched variant. */
+    struct WatchedFunction
+    {
+        uint32_t func = 0;
+        isa::CodeAddr lo = 0;
+        isa::CodeAddr hi = 0;
+        isa::CodeAddr entry = 0;
+        std::vector<uint64_t> ids; ///< In arming order.
+    };
+
+    /** One entry per function with pending watches. A function
+     *  flipped again and again before it re-enters piles up watches
+     *  (a mean of 203 pending per transfer on the benchmark's `fleet`
+     *  workload, on at most two functions) but keeps one entry, so a
+     *  control transfer pays one emptiness test with no flip pending
+     *  and one range check per watched function otherwise. */
+    std::vector<WatchedFunction> flipWatches_;
     FlipHook flipHook_;
 
     /** Returns true if the core consumed a nap/stolen interval. */
@@ -288,7 +302,8 @@ class Core
     template <bool kFenced>
     bool timedAccess(uint64_t vaddr, bool nonTemporal, uint64_t &latency);
 
-    /** Fire-and-remove every watch covering `target` (cold path). */
+    /** Fire-and-remove the watches of the function whose range
+     *  covers `target`, if any (cold path). */
     void fireFlipWatches(isa::CodeAddr target);
 };
 

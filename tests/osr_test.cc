@@ -5,8 +5,8 @@
  * runtime (with cycle-exact Step-vs-Batch equivalence), decoded
  * superblock retirement on redirect, sandbox-differential state
  * equivalence at every OSR point, repeat-run identity of the hot-loop
- * fleet scenario, and the entry-flip fallback for loop-free
- * functions.
+ * fleet scenario, the entry-flip fallback for loop-free functions,
+ * and one watch entry per function however often it is flipped.
  */
 
 #include <gtest/gtest.h>
@@ -307,6 +307,69 @@ TEST(OsrFlip, LoopFreeFunctionFallsBackToEntryFlip)
     EXPECT_EQ(fe.pending, 0u);
     EXPECT_EQ(rt.osrPatchesWritten(), 0u);
     EXPECT_GT(machine.core(0).hpm().hints, 0u);
+}
+
+/** What a run of flips that never take effect leaves behind. */
+struct PileUp
+{
+    runtime::FlipEffectStats fe;
+    size_t watchedFunctions = 0;
+    uint64_t hints = 0;
+};
+
+/** Flip the loop host's never-returning hot() `flips` times without
+ *  OSR, alternating between two variants: no flip can take effect. */
+PileUp
+runPileUp(sim::Engine engine, uint32_t flips)
+{
+    ir::Module m = makeLoopHost();
+    isa::Image image = pcc::compile(m);
+    sim::Machine machine;
+    machine.setEngine(engine);
+    sim::Process &proc = machine.load(image, 0);
+    runtime::RuntimeOptions opts;
+    opts.runtimeCore = 1;
+    runtime::ProteanRuntime rt(machine, proc, opts);
+    rt.start();
+    machine.runFor(machine.msToCycles(20));
+
+    ir::FuncId hot = rt.module().findFunction("hot")->id();
+    BitVector both(rt.module().numLoads(), true);
+    BitVector first(rt.module().numLoads());
+    first.set(0);
+    for (uint32_t i = 0; i < flips; ++i) {
+        rt.deployVariant(hot, i % 2 ? first : both);
+        // The first two compile; every later one hits the cache and
+        // dispatches at once, while hot() keeps looping.
+        machine.runFor(i < 2 ? machine.msToCycles(20) : 1000);
+    }
+
+    PileUp r;
+    r.fe = rt.flipEffectStats(machine.now());
+    r.watchedFunctions = machine.core(0).watchedFunctionCount();
+    r.hints = machine.core(0).hpm().hints;
+    return r;
+}
+
+TEST(OsrFlip, RepeatedFlipsOfOneFunctionHoldOneWatchEntry)
+{
+    constexpr uint32_t kFlips = 2000;
+    PileUp step = runPileUp(sim::Engine::Step, kFlips);
+    PileUp batch = runPileUp(sim::Engine::Batch, kFlips);
+    EXPECT_EQ(batch.fe.pending, kFlips);
+    EXPECT_EQ(batch.fe.entryFlips, 0u);
+    EXPECT_EQ(batch.fe.osrFlips, 0u);
+    EXPECT_GT(batch.fe.worstPending, 0u);
+    EXPECT_EQ(batch.hints, 0u);
+    // Two thousand pending watches, one watched function.
+    EXPECT_EQ(batch.watchedFunctions, 1u);
+    EXPECT_EQ(step.watchedFunctions, batch.watchedFunctions);
+    EXPECT_EQ(step.fe.entryFlips, batch.fe.entryFlips);
+    EXPECT_EQ(step.fe.osrFlips, batch.fe.osrFlips);
+    EXPECT_EQ(step.fe.pending, batch.fe.pending);
+    EXPECT_EQ(step.fe.worstEntry, batch.fe.worstEntry);
+    EXPECT_EQ(step.fe.worstOsr, batch.fe.worstOsr);
+    EXPECT_EQ(step.fe.worstPending, batch.fe.worstPending);
 }
 
 // ---------------------------------------------------------------

@@ -2,13 +2,15 @@
  * @file
  * Tests for the simulator substrate: functional memory, caches (LRU
  * and non-temporal insertion), the memory system, core timing
- * mechanisms (nap, stolen cycles, binary translation), and the
- * event-driven machine.
+ * mechanisms (nap, stolen cycles, binary translation), flip watches,
+ * and the event-driven machine.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -740,6 +742,205 @@ TEST(Machine, PcSamplingSeesHostPc)
     const isa::FunctionInfo *fi = proc.image().functionAt(pc);
     ASSERT_NE(fi, nullptr);
     EXPECT_EQ(fi->name, "main");
+}
+
+// ---------------------------------------------------------------
+// Flip watches: the core's side of the flip-effect contract.
+// ---------------------------------------------------------------
+
+/** Code layout of watchImage: three leaf functions, then main. */
+constexpr isa::CodeAddr kLeafA = 0; // A [0, 3)
+constexpr isa::CodeAddr kLeafB = 3; // B [3, 6)
+constexpr isa::CodeAddr kLeafC = 6; // C [6, 8)
+constexpr isa::CodeAddr kWatchMain = 8;
+
+/** A hand-built image whose main calls `calls` in order, then loops.
+ *  Each call and return costs one cycle, as do the leaves' Nops. */
+isa::Image
+watchImage(const std::vector<isa::CodeAddr> &calls)
+{
+    auto op = [](isa::MOp o, isa::CodeAddr target = isa::kInvalidCodeAddr) {
+        isa::MInst in;
+        in.op = o;
+        in.target = target;
+        return in;
+    };
+    isa::Image im;
+    im.name = "watch";
+    im.code = {op(isa::MOp::Nop), op(isa::MOp::Nop), op(isa::MOp::Ret),
+               op(isa::MOp::Nop), op(isa::MOp::Nop), op(isa::MOp::Ret),
+               op(isa::MOp::Nop), op(isa::MOp::Ret)};
+    for (isa::CodeAddr to : calls)
+        im.code.push_back(op(isa::MOp::CallDirect, to));
+    im.code.push_back(op(isa::MOp::Jmp, kWatchMain));
+    im.functions.push_back(
+        {"main", 0, kWatchMain, static_cast<isa::CodeAddr>(im.code.size())});
+    im.entryFunc = 0;
+    im.initialData.assign(isa::kHdrBytes, 0);
+    return im;
+}
+
+/** One flip-hook call, and the pc of the transfer that made it. */
+struct HookCall
+{
+    uint64_t id;
+    bool osr;
+    uint64_t cycle;
+    isa::CodeAddr from;
+
+    bool operator==(const HookCall &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const HookCall &c)
+{
+    return os << "{id " << c.id << (c.osr ? " osr" : " entry")
+              << " cycle " << c.cycle << " from " << c.from << "}";
+}
+
+/** What one watched run observed. */
+struct WatchRun
+{
+    std::vector<HookCall> calls;
+    uint64_t cycle = 0;  ///< Core 0's clock at the end.
+    size_t watched = 0;  ///< Functions still watched at the end.
+};
+
+/** Load `image` on core 0, let `arm` arm watches, run to `until`. */
+WatchRun
+runWatched(Engine engine, const isa::Image &image, uint64_t until,
+           const std::function<void(Core &)> &arm)
+{
+    Machine machine;
+    machine.setEngine(engine);
+    machine.load(image, 0);
+    Core &core = machine.core(0);
+    WatchRun r;
+    core.setFlipHook([&](uint64_t id, bool osr, uint64_t cycle) {
+        r.calls.push_back({id, osr, cycle, core.pc()});
+    });
+    arm(core);
+    machine.run(until);
+    r.cycle = core.cycle();
+    r.watched = core.watchedFunctionCount();
+    return r;
+}
+
+/** runWatched under Step and Batch, which must agree exactly. */
+WatchRun
+watchedRun(const isa::Image &image, uint64_t until,
+           const std::function<void(Core &)> &arm)
+{
+    WatchRun step = runWatched(Engine::Step, image, until, arm);
+    WatchRun batch = runWatched(Engine::Batch, image, until, arm);
+    EXPECT_EQ(step.calls, batch.calls);
+    EXPECT_EQ(step.cycle, batch.cycle);
+    EXPECT_EQ(step.watched, batch.watched);
+    return step;
+}
+
+TEST(FlipWatch, FiresAtFirstTransferIntoItsOwnRangeOnly)
+{
+    // main calls B, then A; C is never entered.
+    WatchRun r = watchedRun(
+        watchImage({kLeafB, kLeafA}), 1000, [](Core &core) {
+            core.armFlipWatch({1, 0, kLeafA, kLeafB, kLeafA});
+            core.armFlipWatch({2, 2, kLeafC, kWatchMain, kLeafC});
+        });
+    // Not at the call into B (cycle 0), nor at any later call into A.
+    EXPECT_EQ(r.calls,
+              (std::vector<HookCall>{{1, false, 4, kWatchMain + 1}}));
+    EXPECT_EQ(r.watched, 1u); // C's watch still pending
+}
+
+TEST(FlipWatch, EntryLandingIsEntryFlipMidRangeIsOsr)
+{
+    // main calls A past its entry (as an OSR redirect lands on a loop
+    // header), then B at its entry.
+    WatchRun r = watchedRun(
+        watchImage({kLeafA + 1, kLeafB}), 1000, [](Core &core) {
+            core.armFlipWatch({1, 0, kLeafA, kLeafB, kLeafA});
+            core.armFlipWatch({2, 1, kLeafB, kLeafC, kLeafB});
+        });
+    EXPECT_EQ(r.calls, (std::vector<HookCall>{{1, true, 0, kWatchMain},
+                                              {2, false, 3,
+                                               kWatchMain + 1}}));
+    EXPECT_EQ(r.watched, 0u);
+}
+
+TEST(FlipWatch, NewerDispatchMovesEveryOlderWatchToItsRange)
+{
+    // One function flipped 1,000 times between two variants (A and C)
+    // without re-entering, then once more to B: every watch now waits
+    // for B. main enters A, C, then B.
+    constexpr uint64_t kOlder = 1000;
+    WatchRun r = watchedRun(
+        watchImage({kLeafA, kLeafC, kLeafB}), 1000, [](Core &core) {
+            for (uint64_t id = 1; id <= kOlder; ++id) {
+                if (id % 2)
+                    core.armFlipWatch({id, 5, kLeafA, kLeafB, kLeafA});
+                else
+                    core.armFlipWatch({id, 5, kLeafC, kWatchMain, kLeafC});
+            }
+            core.armFlipWatch({kOlder + 1, 5, kLeafB, kLeafC, kLeafB});
+            EXPECT_EQ(core.watchedFunctionCount(), 1u);
+        });
+    // All fire in one transfer, the call into B at cycle 7, in arming
+    // order.
+    std::vector<HookCall> expected;
+    for (uint64_t id = 1; id <= kOlder + 1; ++id)
+        expected.push_back({id, false, 7, kWatchMain + 2});
+    EXPECT_EQ(r.calls, expected);
+    EXPECT_EQ(r.watched, 0u);
+}
+
+TEST(FlipWatch, ReportsTheCycleBeforeTheBtCharge)
+{
+    BtConfig bt;
+    bt.enabled = true;
+    uint64_t before = 0;
+    // One instruction: main's call into A.
+    WatchRun r = watchedRun(
+        watchImage({kLeafA}), bt.translateCycles + 1, [&](Core &core) {
+            core.setBtConfig(bt); // translates main's entry block
+            before = core.cycle();
+            core.armFlipWatch({1, 0, kLeafA, kLeafB, kLeafA});
+        });
+    EXPECT_EQ(before, bt.translateCycles);
+    EXPECT_EQ(r.calls,
+              (std::vector<HookCall>{{1, false, before, kWatchMain}}));
+    // The call's own cycle, then its BT cost: the linked-block
+    // residual and A's first translation.
+    EXPECT_EQ(r.cycle,
+              before + 1 + bt.takenExtraCycles + bt.translateCycles);
+}
+
+TEST(FlipWatch, BindDropsEveryPendingWatch)
+{
+    WatchRun r = watchedRun(
+        watchImage({kLeafA, kLeafB}), 1000, [](Core &core) {
+            core.armFlipWatch({1, 0, kLeafA, kLeafB, kLeafA});
+            core.armFlipWatch({2, 1, kLeafB, kLeafC, kLeafB});
+            EXPECT_EQ(core.watchedFunctionCount(), 2u);
+            core.bind(core.process());
+            EXPECT_EQ(core.watchedFunctionCount(), 0u);
+        });
+    EXPECT_TRUE(r.calls.empty());
+    EXPECT_EQ(r.watched, 0u);
+}
+
+TEST(FlipWatch, OverlappingRangesOfTwoFunctionsPanic)
+{
+    // Exactness rests on variants of different functions being
+    // disjoint appended code: at most one entry covers a transfer.
+    EXPECT_DEATH(
+        {
+            Machine machine;
+            machine.load(watchImage({kLeafA}), 0);
+            machine.core(0).armFlipWatch({1, 0, kLeafA, kLeafC, kLeafA});
+            machine.core(0).armFlipWatch({2, 1, kLeafB, kLeafC, kLeafB});
+        },
+        "overlaps");
 }
 
 } // namespace
