@@ -13,7 +13,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "obs/trace.h"
 #include "pcc/pcc.h"
 #include "sim/machine.h"
-#include "support/json.h"
 #include "support/logging.h"
 #include "support/table.h"
 #include "workloads/registry.h"
@@ -254,133 +252,6 @@ exportObs(const ObsConfig &cfg)
         obs::tracer().writeChromeJson(cfg.tracePath);
     if (!cfg.metricsPath.empty())
         obs::metrics().writeJson(cfg.metricsPath);
-}
-
-/** Whole file as a string; "" when unreadable. */
-inline std::string
-readFileOrEmpty(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return "";
-    std::string out;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return out;
-}
-
-/**
- * Short revision stamp for trajectory runs: `git rev-parse` of the
- * working tree, the GITHUB_SHA environment as fallback, "unknown"
- * when neither is available. Only trajectory files carry the stamp —
- * never determinism-diffed exports.
- */
-inline std::string
-gitStamp()
-{
-    std::FILE *p =
-        ::popen("git rev-parse --short=9 HEAD 2>/dev/null", "r");
-    if (p) {
-        char buf[64] = {0};
-        std::string sha;
-        if (std::fgets(buf, sizeof buf, p))
-            sha = buf;
-        ::pclose(p);
-        while (!sha.empty() &&
-               (sha.back() == '\n' || sha.back() == '\r'))
-            sha.pop_back();
-        if (!sha.empty())
-            return sha;
-    }
-    if (const char *env = std::getenv("GITHUB_SHA")) {
-        std::string sha(env);
-        if (sha.size() > 9)
-            sha.resize(9);
-        if (!sha.empty())
-            return sha;
-    }
-    return "unknown";
-}
-
-/**
- * Append one git-stamped run to a benchmark trajectory file
- * (`{"schema": 1, "benchmark": ..., "runs": [...]}`). A missing,
- * unparsable, or pre-trajectory file starts a fresh trajectory with
- * this run as run 0 — the old snapshot-overwrite behavior, upgraded.
- * `metrics` are the comparable ratio series the trajectory checker
- * gates on; `detail_json` is a serialized JSON object of run-shaped
- * extras kept out of the comparison.
- * @return the run index written.
- */
-inline uint64_t
-appendTrajectoryRun(const std::string &path,
-                    const std::string &benchmark,
-                    const std::string &label,
-                    const std::map<std::string, double> &metrics,
-                    const std::string &detail_json = "{}")
-{
-    std::string metricsJson = "{";
-    bool firstMetric = true;
-    for (const auto &[name, value] : metrics) {
-        metricsJson +=
-            strformat("%s\"%s\": %s", firstMetric ? "" : ", ",
-                      name.c_str(),
-                      obs::detail::jsonNumber(value).c_str());
-        firstMetric = false;
-    }
-    metricsJson += "}";
-
-    uint64_t runIndex = 0;
-    std::string body = readFileOrEmpty(path);
-    std::string existing;
-    if (!body.empty()) {
-        std::string err;
-        JsonValue doc = JsonValue::parse(body, &err);
-        const JsonValue *runs =
-            err.empty() ? doc.find("runs") : nullptr;
-        if (runs && runs->isArray() &&
-            doc.numberOr("schema", 0) == 1) {
-            // Splice before the closing "]\n}" of the runs array —
-            // prior runs keep their exact bytes.
-            size_t tail = body.rfind("\n]\n}");
-            if (tail != std::string::npos) {
-                runIndex = runs->items().size();
-                if (runIndex > 0)
-                    existing = body.substr(0, tail);
-            }
-        } else {
-            warn("trajectory: %s is not a schema-1 trajectory; "
-                 "starting fresh",
-                 path.c_str());
-        }
-    }
-
-    std::string run = strformat(
-        "  {\"run\": %llu, \"git\": \"%s\", \"label\": \"%s\", "
-        "\"metrics\": %s, \"detail\": %s}",
-        static_cast<unsigned long long>(runIndex),
-        gitStamp().c_str(), label.c_str(), metricsJson.c_str(),
-        detail_json.c_str());
-
-    std::string out;
-    if (existing.empty()) {
-        out = strformat("{\n\"schema\": 1,\n\"benchmark\": \"%s\","
-                        "\n\"runs\": [\n",
-                        benchmark.c_str()) +
-            run + "\n]\n}\n";
-    } else {
-        out = existing + ",\n" + run + "\n]\n}\n";
-    }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("trajectory: cannot open %s for writing",
-              path.c_str());
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    return runIndex;
 }
 
 /** Measurement windows for overhead benches, in simulated ms. */

@@ -22,8 +22,6 @@
  * whole plane as JSON while the common `--profile=<path>` /
  * `--flamegraph=<path>` flags export the fleet-merged profile — all
  * byte-identical across repeat runs, so CI diffs them too.
- * `--bench-out=<path>` appends a git-stamped run of the exported
- * config's key ratios to a trajectory file (see bench/trajectory).
  *
  * `--slo` runs the alerting acceptance harness instead of exiting:
  * a benign run calibrates the flip-p99 threshold and must stay
@@ -241,8 +239,7 @@ validateOverhead(const fleet::ServiceStats &st)
  *  if any gate condition fails. */
 bool
 runValidationGate(uint32_t servers, double ms, double mean_ms,
-                  uint64_t seed, const std::string &out_path,
-                  double *efficiency_out)
+                  uint64_t seed, const std::string &out_path)
 {
     bool ok = true;
     std::vector<GateRow> rows;
@@ -301,17 +298,6 @@ runValidationGate(uint32_t servers, double ms, double mean_ms,
                 "the bad builds it installs; any gated mode must "
                 "show zero bad installs and the clean run zero "
                 "false rejects (tier-1 overhead < 5%%)\n");
-
-    if (efficiency_out) {
-        // Host-independent trajectory ratio: useful compile cycles
-        // over total backend (compile + validation) cycles of the
-        // clean tier-1 run. 1.0 = a free gate.
-        const fleet::ServiceStats &clean = rows.front().st;
-        uint64_t total = clean.compileCycles + clean.validateCycles;
-        *efficiency_out = total == 0 ? 1.0 :
-            static_cast<double>(clean.compileCycles) /
-            static_cast<double>(total);
-    }
 
     if (!out_path.empty()) {
         // Stable-key JSON for the CI determinism byte-diff: rows in
@@ -694,7 +680,6 @@ main(int argc, char **argv)
     bool slo_mode = false;
     bool hotloop_mode = false;
     std::string telemetry_path;
-    std::string bench_out;
     std::string validate_out;
     std::string hotloop_out;
     bench::ArgParser parser;
@@ -705,8 +690,6 @@ main(int argc, char **argv)
     parser.addSwitch("quick", &quick, "tiny configuration for CI");
     parser.addFlag("telemetry", &telemetry_path,
                    "write the telemetry plane (windows/SLOs) as JSON");
-    parser.addFlag("bench-out", &bench_out,
-                   "append a git-stamped trajectory run");
     parser.addFlag("validate-out", &validate_out,
                    "write the validation-gate summary as stable JSON");
     parser.addSwitch("slo", &slo_mode,
@@ -842,10 +825,8 @@ main(int argc, char **argv)
     // through (zero false rejects, <5% tier-1 overhead), injected
     // miscompiles must all be rejected before any install.
     std::printf("\n");
-    double validate_efficiency = 1.0;
     if (!runValidationGate(static_cast<uint32_t>(servers), ms,
-                           mean_ms, obs_cfg.seed, validate_out,
-                           &validate_efficiency))
+                           mean_ms, obs_cfg.seed, validate_out))
         gate_failed = true;
 
     // The exported configuration: moderate faults, R=2, full ladder,
@@ -918,34 +899,6 @@ main(int argc, char **argv)
 
         bench::printWinningMasks(hub);
         bench::exportFleetProfile(hub, obs_cfg);
-
-        if (!bench_out.empty()) {
-            obs::HdrHistogram flips = hub.fleetFlip();
-            std::map<std::string, double> metrics;
-            metrics["hit_rate"] = exported.service.hitRateOf();
-            metrics["flip_p99_cycles"] =
-                static_cast<double>(flips.quantile(0.99));
-            metrics["profile_samples"] = static_cast<double>(
-                hub.fleetProfile().totalSamples());
-            metrics["flip_records"] = static_cast<double>(
-                hub.scoreboard().totalFlips());
-            // Useful-compile fraction of the clean gated run (see
-            // runValidationGate); host-independent like every other
-            // trajectory ratio.
-            metrics["validate_efficiency"] = validate_efficiency;
-            uint64_t run = bench::appendTrajectoryRun(
-                bench_out, "fleet_faults",
-                quick ? "quick" : "full", metrics,
-                strformat(
-                    "{\"servers\": %llu, \"sim_ms\": %g, "
-                    "\"stalled\": %llu}",
-                    static_cast<unsigned long long>(servers), ms,
-                    static_cast<unsigned long long>(
-                        exported.stalledRequests)));
-            std::printf("appended run %llu to %s\n",
-                        static_cast<unsigned long long>(run),
-                        bench_out.c_str());
-        }
     }
     std::printf("\nexported config: %llu crashes, %llu dropped, "
                 "%llu retries, %llu fallbacks, %llu stalled\n",

@@ -1,6 +1,7 @@
 /**
  * @file
- * Host-side throughput of the execution engines (DESIGN.md §8).
+ * Host-side throughput of the execution engines (DESIGN.md §8), and
+ * the off-path budgets of observability and profiling.
  *
  * Measures simulated-instructions per host second for the reference
  * Step engine against the horizon-batched Batch engine on a single
@@ -13,35 +14,30 @@
  * fleet shape — and colocated on two cores, the horizon's worst
  * case. Every configuration cross-checks its simulated totals
  * against the reference run, so a speedup that changed observable
- * behavior fails the bench instead of reporting a number. One timed
- * 8-server FleetSim run follows; it supplies the install gate's
- * cycle overhead and the wall time the off-path gates below are
- * measured against.
+ * behavior fails the bench instead of reporting a number.
  *
  * Also bounds the observability off-path cost: with the tracer
  * disabled every instrumentation site reduces to one branch on
  * tracer().enabled(), so the bench times that guard directly, counts
- * how many times a traced run of the fleet takes it, asserts an
- * obs-off run records zero events, and fails if the implied overhead
- * reaches 1% of the run's wall time. The continuous profiler gets
- * the same treatment: disabled it is one null-pointer test per
- * monitoring tick (in PcSampler::sample and ProteanRuntime::tick),
- * so the bench times that test, counts the ticks the off run took,
- * and fails at 1% as well.
+ * how many times a traced run of an 8-server FleetSim takes it,
+ * asserts the untraced run records zero events, and fails if the
+ * implied overhead reaches 1% of the untraced run's wall time. The
+ * continuous profiler gets the same treatment: disabled it is one
+ * null-pointer test per monitoring tick (in PcSampler::sample and
+ * ProteanRuntime::tick), so the bench times that test, counts the
+ * ticks of a PC3D colocation cell run without a profiler (an
+ * unprofiled FleetSim never starts the tick loop), and fails at 1%
+ * of that run's wall time as well.
  *
- * Results append to a git-stamped trajectory (--out, default
- * BENCH_engine.json; schema-1 `{"schema","benchmark","runs":[...]}`)
- * rather than overwriting, so the file accumulates a perf history
- * that bench/trajectory gates on. `--min-speedup=<x>` still exits
- * nonzero when the single-proc ALU batch/step ratio falls below x,
- * which is how CI keeps the fast path honest. The multi-proc gate
- * (`--min-speedup-2proc`) only binds when the host reports >= 2
- * hardware threads and prints a skip notice otherwise. `hw_threads`
- * rides along in detail, per run and per case.
+ * Every gate is an exit code against a fixed floor. `--min-speedup`
+ * fails when the single-proc ALU batch/step ratio falls below it;
+ * `--min-speedup-2proc` does the same at 2 procs, but only binds
+ * when the host reports >= 2 hardware threads and prints a skip
+ * notice otherwise.
  *
  * Flags (beyond the common set): --ms=<x> (simulated run length,
- * single machine), --fleet-ms=<x>, --servers=<n>, --out=<path>,
- * --min-speedup=<x>, --min-speedup-2proc=<x> and --quick.
+ * single machine), --fleet-ms=<x>, --servers=<n>, --min-speedup=<x>,
+ * --min-speedup-2proc=<x> and --quick.
  */
 
 #include "common.h"
@@ -49,8 +45,10 @@
 #include <chrono>
 #include <thread>
 
+#include "datacenter/experiment.h"
 #include "fleet/fleet.h"
 #include "ir/builder.h"
+#include "runtime/runtime.h"
 
 using namespace protean;
 
@@ -94,11 +92,6 @@ struct SingleResult
     double wallSec = 0.0;
     uint64_t instructions = 0;
     uint64_t branches = 0;
-    /** Decoded-superblock dispatch totals over all cores. Zero for
-     *  the Step engine (which never dispatches superblocks); a pure
-     *  function of the simulation, so host-independent. */
-    uint64_t sbHits = 0;
-    uint64_t sbMisses = 0;
 
     double ips() const
     {
@@ -124,8 +117,6 @@ runSingle(sim::Engine engine, const isa::Image &image, uint32_t procs,
     for (uint32_t c = 0; c < machine.numCores(); ++c) {
         r.instructions += machine.core(c).hpm().instructions;
         r.branches += machine.core(c).hpm().branches;
-        r.sbHits += machine.core(c).superblockStats().hits;
-        r.sbMisses += machine.core(c).superblockStats().misses;
     }
     return r;
 }
@@ -151,27 +142,37 @@ runFleetTimed(uint32_t servers, double ms, uint64_t seed)
     return r;
 }
 
-/** Hot-loop flip-latency study (DESIGN.md §14): one run of the
- *  "hotloop" fleet scenario, whose single hot call per server spans
- *  the whole run, with mid-loop OSR redirection either off (flips
- *  wait at function entry forever — the tail censors at run end) or
- *  on (flips land at the next loop back-edge). The worst flip-effect
- *  latency of each run is a pure simulated-cycle count, so the
- *  OSR/entry ratio is host-speed independent and safe to gate on. */
-fleet::FleetStats
-runHotloop(uint32_t servers, double ms, uint64_t seed, bool osr)
+/** Simulated length of the profiler gate's colocation cell: about
+ *  200 monitoring ticks at the runtime's default 5-ms period. */
+constexpr double kProfilerCellMs = 1000.0;
+
+/** Wall time and monitoring ticks of one PC3D colocation cell run
+ *  `ms` simulated milliseconds with profiling off: its runtime ticks
+ *  with no profiler built, so every tick pays only the null tests. */
+struct CellResult
 {
-    fleet::FleetConfig cfg;
-    cfg.numServers = servers;
-    cfg.batch = "hotloop";
-    cfg.hotFuncsOnly = true;
-    cfg.remoteBackend = true;
-    cfg.seed = seed;
-    cfg.service.replication = 2;
-    cfg.osr = osr;
-    fleet::FleetSim sim(cfg);
-    sim.run(ms);
-    return sim.stats();
+    double wallSec = 0.0;
+    uint64_t ticks = 0;
+};
+
+CellResult
+runUnprofiledCell(double ms)
+{
+    datacenter::ColoConfig cfg;
+    cfg.system = datacenter::System::Pc3d;
+    datacenter::ColoCell cell(cfg);
+    runtime::ProteanRuntime &rt = *cell.runtime();
+    auto t0 = std::chrono::steady_clock::now();
+    cell.machine().runFor(cell.machine().msToCycles(ms));
+    CellResult r;
+    r.wallSec = elapsedSec(t0);
+    r.ticks = rt.ticks();
+    if (rt.profiler())
+        fatal("profiler-off cell built a profiler; gating is broken");
+    if (r.ticks == 0)
+        fatal("profiler-off cell never ticked; the profiler gate "
+              "would pass vacuously");
+    return r;
 }
 
 void
@@ -263,7 +264,6 @@ main(int argc, char **argv)
     double ms = 1500.0;
     double fleet_ms = 300.0;
     uint64_t servers = 8;
-    std::string out = "BENCH_engine.json";
     double min_speedup = 0.0;
     double min_speedup_2proc = 0.0;
     bool quick = false;
@@ -271,7 +271,6 @@ main(int argc, char **argv)
     parser.addFlag("ms", &ms, "simulated ms, single machine");
     parser.addFlag("fleet-ms", &fleet_ms, "simulated ms, fleet runs");
     parser.addFlag("servers", &servers, "fleet size (default 8)");
-    parser.addFlag("out", &out, "JSON results path");
     parser.addFlag("min-speedup", &min_speedup,
                    "fail unless ALU batch/step >= x (0 = report only)");
     parser.addFlag("min-speedup-2proc", &min_speedup_2proc,
@@ -341,66 +340,9 @@ main(int argc, char **argv)
         t.print();
     }
 
-    // ---- hot-loop OSR flip-latency tail (DESIGN.md §14) ----
-    // Entry-only control vs OSR under identical traffic; the worst
-    // flip-effect latencies feed the trajectory as host-independent
-    // simulated-cycle ratios. Run length must exceed the deploy
-    // pipeline's latency or no flip ever lands; 150 simulated ms is
-    // enough at the default service timings.
-    double hl_ms = std::max(fleet_ms, 150.0);
-    fleet::FleetStats hl_off =
-        runHotloop(4, hl_ms, obs_cfg.seed, false);
-    fleet::FleetStats hl_on = runHotloop(4, hl_ms, obs_cfg.seed, true);
-    uint64_t hl_worst_off = hl_off.worstFlipEffect();
-    uint64_t hl_worst_on = hl_on.worstFlipEffect();
-    double osr_ratio = hl_worst_off == 0 ? 0.0 :
-        static_cast<double>(hl_worst_on) /
-        static_cast<double>(hl_worst_off);
-    double osr_reduction =
-        static_cast<double>(hl_worst_off) /
-        static_cast<double>(hl_worst_on ? hl_worst_on : 1);
-    {
-        std::printf("\n");
-        TextTable t("Hot-loop scenario: worst flip-effect latency "
-                    "(cycles)");
-        t.setHeader({"Mode", "Worst", "Entry flips", "OSR flips",
-                     "Pending"});
-        t.addRow({"entry-only",
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_worst_off)),
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_off.entryFlips)),
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_off.osrFlips)),
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_off.pendingFlips))});
-        t.addRow({"osr",
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_worst_on)),
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_on.entryFlips)),
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_on.osrFlips)),
-                  strformat("%llu", static_cast<unsigned long long>(
-                                        hl_on.pendingFlips))});
-        t.print();
-        std::printf("OSR cuts the worst flip-effect latency %sx "
-                    "(ratio %.6f)\n",
-                    bench::fmtRatio(osr_reduction).c_str(),
-                    osr_ratio);
-    }
-
-    // ---- fleet: the one timed run ----
-    // The tick and profiler counters bracket it for the off-path
-    // gates that follow.
-    uint64_t ticks_before =
-        obs::metrics().counter("runtime.ticks").value();
-    uint64_t prof_before =
-        obs::metrics().counter("runtime.profiler.enabled").value();
+    // ---- fleet: the one timed run, the obs gate's untraced run ----
     FleetResult fleet_run = runFleetTimed(
         static_cast<uint32_t>(servers), fleet_ms, obs_cfg.seed);
-    uint64_t fleet_ticks =
-        obs::metrics().counter("runtime.ticks").value() - ticks_before;
     std::printf("\nfleet of %llu servers: %.3f s wall, %llu host "
                 "branches\n",
                 static_cast<unsigned long long>(servers),
@@ -409,14 +351,8 @@ main(int argc, char **argv)
                     fleet_run.stats.hostBranches));
 
     // ---- observability + profiler off-path overhead ----
-    double guard_sec = 0.0;
-    uint64_t traced_events = 0;
     double obs_overhead = 0.0;
-    double null_sec = 0.0;
-    uint64_t profiler_checks = 0;
     double profiler_overhead = 0.0;
-    bool obs_gate_failed = false;
-    bool profiler_gate_failed = false;
     if (obs::tracer().enabled()) {
         // --trace was given: the whole bench is a traced run, so the
         // "obs off" premise does not hold; skip the gates.
@@ -429,11 +365,7 @@ main(int argc, char **argv)
             fatal("obs-off run recorded %zu trace events; gating is "
                   "broken",
                   obs::tracer().eventCount());
-        if (obs::metrics().counter("runtime.profiler.enabled").value()
-            != prof_before)
-            fatal("profiler-off run enabled a profiler; gating is "
-                  "broken");
-        guard_sec = guardCheckSeconds();
+        double guard_sec = guardCheckSeconds();
 
         // How often would the off-path branch be taken? Count the
         // events an identical traced run records: every one of them
@@ -442,7 +374,7 @@ main(int argc, char **argv)
         obs::tracer().setEnabled(true);
         runFleetTimed(static_cast<uint32_t>(servers), fleet_ms,
                       obs_cfg.seed);
-        traced_events = obs::tracer().eventCount();
+        uint64_t traced_events = obs::tracer().eventCount();
         obs::tracer().clear();
         obs::tracer().setEnabled(false);
 
@@ -455,24 +387,21 @@ main(int argc, char **argv)
                     guard_sec * 1e9,
                     static_cast<unsigned long long>(traced_events),
                     obs_overhead * 100.0, off.wallSec);
-        if (obs_overhead >= 0.01)
-            obs_gate_failed = true;
 
         // Disabled continuous profiling costs one null test in
         // sample() and one in tick(), per monitoring tick.
-        null_sec = nullCheckSeconds();
-        profiler_checks = 2 * fleet_ticks;
-        profiler_overhead = off.wallSec <= 0.0 ? 0.0 :
+        double null_sec = nullCheckSeconds();
+        CellResult cell = runUnprofiledCell(kProfilerCellMs);
+        uint64_t profiler_checks = 2 * cell.ticks;
+        profiler_overhead = cell.wallSec <= 0.0 ? 0.0 :
             static_cast<double>(profiler_checks) * null_sec /
-                off.wallSec;
+                cell.wallSec;
         std::printf("profiler-disabled overhead: %.2f ns/check x "
-                    "%llu checks = %.4f%% of the %.3f s fleet run "
-                    "(no profiler built)\n",
+                    "%llu checks = %.4f%% of the %.3f s PC3D cell "
+                    "run (no profiler built)\n",
                     null_sec * 1e9,
                     static_cast<unsigned long long>(profiler_checks),
-                    profiler_overhead * 100.0, off.wallSec);
-        if (profiler_overhead >= 0.01)
-            profiler_gate_failed = true;
+                    profiler_overhead * 100.0, cell.wallSec);
     }
 
     auto case_speedup = [&cases](const char *workload,
@@ -491,111 +420,6 @@ main(int argc, char **argv)
                 bench::fmtRatio(alu_speedup).c_str(),
                 bench::fmtRatio(alu_speedup_2p).c_str(),
                 bench::fmtRatio(case_speedup("soplex", 1)).c_str());
-
-    if (!out.empty()) {
-        // Comparable ratio series (host-speed independent); wall
-        // times and counts ride in `detail`, outside the
-        // trajectory-checker comparison.
-        std::map<std::string, double> metrics;
-        for (const CaseResult &c : cases)
-            metrics[strformat("%s_speedup_%uproc",
-                              c.workload.c_str(), c.procs)] =
-                c.speedup();
-        metrics["obs_off_overhead_fraction"] = obs_overhead;
-        metrics["profiler_off_overhead_fraction"] =
-            profiler_overhead;
-        // Decoded-superblock dispatch hit rate over every batch
-        // case: a pure simulation ratio, identical on any host.
-        {
-            uint64_t hits = 0;
-            uint64_t misses = 0;
-            for (const CaseResult &c : cases) {
-                hits += c.batch.sbHits;
-                misses += c.batch.sbMisses;
-            }
-            metrics["superblock_hit_rate"] = hits + misses == 0
-                ? 0.0
-                : static_cast<double>(hits) /
-                    static_cast<double>(hits + misses);
-        }
-        // Install-gate cost of the fleet run, as a ratio of
-        // simulated cycles: host-speed independent, so the
-        // trajectory checker can flag a validator that gets
-        // expensive relative to the compiles it guards.
-        {
-            const fleet::ServiceStats &fsvc = fleet_run.stats.service;
-            metrics["validate_overhead_fraction"] =
-                fsvc.compileCycles == 0 ? 0.0 :
-                static_cast<double>(fsvc.validateCycles) /
-                static_cast<double>(fsvc.compileCycles);
-        }
-        // Hot-loop OSR tail, both directions: the ratio the ISSUE
-        // tracks (OSR/entry worst flip — lower is better, so it is
-        // recorded but not gated by the higher-is-better trajectory
-        // checker) and its reciprocal (entry/OSR — higher is
-        // better), which perf-smoke gates on.
-        metrics["osr_flip_latency_ratio"] = osr_ratio;
-        metrics["osr_tail_reduction"] = osr_reduction;
-
-        std::string detail = strformat(
-            "{\"sim_ms\": %g, \"fleet_ms\": %g, \"servers\": %llu, "
-            "\"hw_threads\": %u, \"cases\": [",
-            ms, fleet_ms, static_cast<unsigned long long>(servers),
-            std::thread::hardware_concurrency());
-        for (size_t i = 0; i < cases.size(); ++i) {
-            const CaseResult &c = cases[i];
-            detail += strformat(
-                "%s{\"workload\": \"%s\", \"procs\": %u, "
-                "\"hw_threads\": %u, "
-                "\"step_wall_sec\": %.6f, \"batch_wall_sec\": %.6f, "
-                "\"instructions\": %llu, "
-                "\"superblock_hits\": %llu, "
-                "\"superblock_misses\": %llu}",
-                i ? ", " : "", c.workload.c_str(), c.procs,
-                std::thread::hardware_concurrency(),
-                c.step.wallSec, c.batch.wallSec,
-                static_cast<unsigned long long>(
-                    c.step.instructions),
-                static_cast<unsigned long long>(c.batch.sbHits),
-                static_cast<unsigned long long>(c.batch.sbMisses));
-        }
-        detail += strformat(
-            "], \"fleet\": {\"wall_sec\": %.6f, "
-            "\"host_branches\": %llu}",
-            fleet_run.wallSec,
-            static_cast<unsigned long long>(
-                fleet_run.stats.hostBranches));
-        detail += strformat(
-            ", \"osr_hotloop\": {\"sim_ms\": %g, "
-            "\"worst_entry_only\": %llu, \"worst_osr\": %llu, "
-            "\"entry_flips\": %llu, \"osr_flips\": %llu, "
-            "\"pending_flips\": %llu, \"osr_redirects\": %llu, "
-            "\"osr_patches\": %llu}",
-            hl_ms,
-            static_cast<unsigned long long>(hl_worst_off),
-            static_cast<unsigned long long>(hl_worst_on),
-            static_cast<unsigned long long>(hl_on.entryFlips),
-            static_cast<unsigned long long>(hl_on.osrFlips),
-            static_cast<unsigned long long>(hl_on.pendingFlips),
-            static_cast<unsigned long long>(hl_on.osrRedirects),
-            static_cast<unsigned long long>(hl_on.osrPatches));
-        detail += strformat(
-            ", \"obs_off\": {\"guard_ns\": %.3f, "
-            "\"traced_events\": %llu}, "
-            "\"profiler_off\": {\"check_ns\": %.3f, "
-            "\"checks\": %llu}}",
-            guard_sec * 1e9,
-            static_cast<unsigned long long>(traced_events),
-            null_sec * 1e9,
-            static_cast<unsigned long long>(profiler_checks));
-
-        uint64_t run = bench::appendTrajectoryRun(
-            out, "perf_engine", quick ? "quick" : "full", metrics,
-            detail);
-        std::printf("appended run %llu to %s\n",
-                    static_cast<unsigned long long>(run),
-                    out.c_str());
-    }
 
     bench::exportObs(obs_cfg);
 
@@ -623,14 +447,14 @@ main(int argc, char **argv)
             return 1;
         }
     }
-    if (obs_gate_failed) {
+    if (obs_overhead >= 0.01) {
         std::fprintf(stderr,
                      "FAIL: obs off-path overhead %.4f%% reaches the "
                      "1%% budget\n",
                      obs_overhead * 100.0);
         return 1;
     }
-    if (profiler_gate_failed) {
+    if (profiler_overhead >= 0.01) {
         std::fprintf(stderr,
                      "FAIL: profiler-disabled overhead %.4f%% "
                      "reaches the 1%% budget\n",

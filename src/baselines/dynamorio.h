@@ -5,8 +5,9 @@
  * Models the cost structure of a translation-based dynamic compiler
  * executing a program from its code cache while making no code
  * modifications: a one-time translation cost per basic block, a
- * hash-lookup cost on every indirect transfer (returns, indirect
- * calls), and a small residual cost on linked direct transfers.
+ * hash-lookup cost on every return, and a small residual cost on
+ * every other taken transfer (branches and calls, an indirect call
+ * through the EVT included).
  * Unlike protean code, all execution flows through the translator,
  * so these costs are paid on the application's critical path — the
  * source of the ~18% average overhead the paper measures.

@@ -103,9 +103,11 @@ struct BtConfig
     bool enabled = false;
     /** One-time translation cost per basic-block head. */
     uint32_t translateCycles = 600;
-    /** Hash-lookup cost per indirect transfer (ret, calli). */
+    /** Hash-lookup cost per return. Calls through the EVT do not
+     *  pay it: they pay takenExtraCycles, like direct transfers. */
     uint32_t indirectCycles = 200;
-    /** Residual cost per taken direct transfer (linked blocks). */
+    /** Residual cost per other taken transfer (linked blocks):
+     *  branches and calls, direct or through the EVT. */
     uint32_t takenExtraCycles = 35;
 };
 

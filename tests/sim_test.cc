@@ -579,6 +579,57 @@ TEST(Core, BtIndirectCostExceedsDirect)
     EXPECT_GT(call_slowdown, jump_slowdown);
 }
 
+TEST(Core, BtLookupIsChargedOnReturnsNotIndirectCalls)
+{
+    // Leaf A [0, 2) returns; main [2, 4) calls A through EVT slot 0,
+    // then jumps back to the call.
+    auto op = [](isa::MOp o, isa::CodeAddr target = isa::kInvalidCodeAddr) {
+        isa::MInst in;
+        in.op = o;
+        in.target = target;
+        return in;
+    };
+    isa::Image im;
+    im.name = "bt";
+    im.code = {op(isa::MOp::Nop), op(isa::MOp::Ret),
+               op(isa::MOp::CallIndirect), op(isa::MOp::Jmp, 2)};
+    im.functions.push_back({"main", 0, 2, 4});
+    im.entryFunc = 0;
+    im.evtBase = isa::kHdrBytes;
+    im.evtCount = 1;
+    im.initialData.assign(isa::kHdrBytes + 8, 0);
+    im.setInitialWord(im.evtBase, 0);
+
+    BtConfig bt;
+    bt.enabled = true;
+    Machine native;
+    Machine translated;
+    native.load(im, 0);
+    translated.load(im, 0);
+    Core &n = native.core(0);
+    Core &t = translated.core(0);
+    t.setBtConfig(bt); // translates main's entry block
+    // Each step's BT charge: its cycles under BT minus its cycles on
+    // the native twin, over two laps of call, Nop, return, jump.
+    std::vector<uint64_t> charge;
+    for (int i = 0; i < 8; ++i) {
+        uint64_t n0 = n.cycle();
+        uint64_t t0 = t.cycle();
+        n.step();
+        t.step();
+        ASSERT_EQ(n.pc(), t.pc());
+        charge.push_back((t.cycle() - t0) - (n.cycle() - n0));
+    }
+    // The call pays the linked-block residual, the return the
+    // indirect lookup; the first lap also translates A's head and
+    // the return point.
+    const uint64_t tr = bt.translateCycles;
+    const uint64_t call = bt.takenExtraCycles;
+    const uint64_t ret = bt.indirectCycles;
+    EXPECT_EQ(charge, (std::vector<uint64_t>{call + tr, 0, ret + tr, call,
+                                             call, 0, ret, call}));
+}
+
 TEST(Machine, EventsFireInOrder)
 {
     Machine machine;

@@ -494,22 +494,24 @@ TEST(Json, ReportsErrorsWithOffsets)
 
 TEST(Json, RoundTripsTheRepoOwnExports)
 {
-    // The shape appendTrajectoryRun writes and bench/trajectory
-    // reads back.
+    // The shape fleet_faults --hotloop-out writes.
     std::string doc =
-        "{\n\"schema\": 1,\n\"benchmark\": \"perf_engine\",\n"
-        "\"runs\": [\n{\"run\": 0, \"git\": \"abc123def\", "
-        "\"label\": \"full\", \"metrics\": "
-        "{\"alu_speedup_1proc\": 3.155}, \"detail\": {}}\n]\n}\n";
+        "{\n\"schema\": 1,\n\"runs\": [\n"
+        "  {\"deploys\": 155, \"mode\": \"entry-only\", "
+        "\"worst\": 746384},\n"
+        "  {\"deploys\": 155, \"mode\": \"osr\", "
+        "\"worst\": 9778}\n"
+        "],\n\"tail_reduction\": 76.332992431990178\n}\n";
     std::string err;
     JsonValue v = JsonValue::parse(doc, &err);
     ASSERT_TRUE(v.isObject()) << err;
     EXPECT_EQ(v.find("schema")->asInt(), 1);
-    const JsonValue &run = v.find("runs")->items().front();
-    EXPECT_EQ(run.stringOr("git", ""), "abc123def");
-    EXPECT_DOUBLE_EQ(
-        run.find("metrics")->numberOr("alu_speedup_1proc", 0.0),
-        3.155);
+    ASSERT_EQ(v.find("runs")->items().size(), 2u);
+    const JsonValue &run = v.find("runs")->items().back();
+    EXPECT_EQ(run.stringOr("mode", ""), "osr");
+    EXPECT_EQ(run.find("worst")->asInt(), 9778);
+    EXPECT_DOUBLE_EQ(v.numberOr("tail_reduction", 0.0),
+                     76.332992431990178);
 }
 
 } // namespace
