@@ -541,44 +541,6 @@ TEST(Core, BinaryTranslationAddsOverhead)
     EXPECT_GT(bt_instrs, native_instrs / 40);
 }
 
-TEST(Core, BtIndirectCostExceedsDirect)
-{
-    // A call-heavy program suffers more under BT than a jump-heavy
-    // one of equal instruction count.
-    ir::Module calls("calls");
-    {
-        ir::IRBuilder b(calls);
-        b.startFunction("leaf", 0);
-        b.ret();
-        b.startFunction("main", 0);
-        ir::BlockId loop = b.newBlock();
-        b.br(loop);
-        b.setBlock(loop);
-        b.callVoid(0);
-        b.br(loop);
-    }
-    isa::Image ci = pcc::compilePlain(calls);
-
-    auto ipc_under = [&](const isa::Image &img, bool bt_on) {
-        Machine machine;
-        machine.load(img, 0);
-        if (bt_on) {
-            BtConfig cfg;
-            cfg.enabled = true;
-            machine.core(0).setBtConfig(cfg);
-        }
-        machine.runFor(300'000);
-        return machine.core(0).hpm().ipc();
-    };
-
-    ir::Module jumps = spinModule("jumps");
-    isa::Image ji = pcc::compilePlain(jumps);
-
-    double call_slowdown = ipc_under(ci, false) / ipc_under(ci, true);
-    double jump_slowdown = ipc_under(ji, false) / ipc_under(ji, true);
-    EXPECT_GT(call_slowdown, jump_slowdown);
-}
-
 TEST(Core, BtLookupIsChargedOnReturnsNotIndirectCalls)
 {
     // Leaf A [0, 2) returns; main [2, 4) calls A through EVT slot 0,
